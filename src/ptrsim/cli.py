@@ -10,6 +10,7 @@ above tolerance, 2 usage or document error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -41,19 +42,20 @@ def _expect_int(value, path: str, minimum: int = 0) -> int:
     return value
 
 
+def _is_finite_real(value) -> bool:
+    # json reads NaN and Infinity as floats
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _expect_real(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CircuitFormatError(f"{path}: expected a real number, got {value!r}")
+    if not _is_finite_real(value):
+        raise CircuitFormatError(f"{path}: expected a finite real number, got {value!r}")
     return float(value)
 
 
 def _decode_complex(value, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
-        raise CircuitFormatError(f"{path}: expected a [re, im] pair, got {value!r}")
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_finite_real, value)):
+        raise CircuitFormatError(f"{path}: expected a [re, im] pair of finite numbers, got {value!r}")
     return complex(value[0], value[1])
 
 
@@ -204,6 +206,8 @@ def _parse_complex_list(text: str, expected: int, what: str) -> np.ndarray:
         raise CircuitFormatError(f"{what}: cannot parse complex list {text!r}") from exc
     if len(values) != expected:
         raise CircuitFormatError(f"{what}: expected {expected} entries, got {len(values)}")
+    if not all(map(cmath.isfinite, values)):
+        raise CircuitFormatError(f"{what}: entries must be finite, got {text!r}")
     return np.asarray(values, dtype=np.complex128)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,13 +25,12 @@ from .ptr import (
     Pdc,
     PhaseI,
     build_ptr,
-    nc_determinant_defect,
     special_cancellation_circuit,
     su11_circuit,
     su11_expected,
     verify_special_cancellation,
 )
-from .scatter import hypothetical_bs, unitarity_defect
+from .scatter import hypothetical_bs
 
 MAX_PATHS = 4
 MAX_PDCS = 4

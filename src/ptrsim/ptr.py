@@ -36,8 +36,18 @@ class Pdc:
     r: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("pair-source gain must be nonnegative")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ValueError(f"pair-source gain must be finite and nonnegative, got {self.r!r}")
+
+
+def _checked_unitary(matrix, side: str) -> np.ndarray:
+    matrix = np.array(matrix, dtype=np.complex128)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{side}-side matrix has non-finite entries")
+    defect = scatter.unitarity_defect(matrix)
+    if defect > UNITARITY_TOL:
+        raise ValueError(f"{side}-side matrix is not unitary: defect {defect:.3e} exceeds 1e-10")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -47,10 +57,7 @@ class LinearS:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.array(self.matrix, dtype=np.complex128))
-        defect = scatter.unitarity_defect(self.matrix)
-        if defect > UNITARITY_TOL:
-            raise ValueError(f"signal-side matrix is not unitary: defect {defect:.3e} exceeds 1e-10")
+        object.__setattr__(self, "matrix", _checked_unitary(self.matrix, "signal"))
 
 
 @dataclass(frozen=True)
@@ -60,26 +67,27 @@ class LinearI:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.array(self.matrix, dtype=np.complex128))
-        defect = scatter.unitarity_defect(self.matrix)
-        if defect > UNITARITY_TOL:
-            raise ValueError(f"idler-side matrix is not unitary: defect {defect:.3e} exceeds 1e-10")
+        object.__setattr__(self, "matrix", _checked_unitary(self.matrix, "idler"))
 
 
 @dataclass(frozen=True)
-class PhaseS:
+class _PhasePlate:
+    path: int
+    phase: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase!r}")
+
+
+@dataclass(frozen=True)
+class PhaseS(_PhasePlate):
     """Phase plate on one signal path."""
 
-    path: int
-    phase: float
-
 
 @dataclass(frozen=True)
-class PhaseI:
+class PhaseI(_PhasePlate):
     """Phase plate on one idler path."""
-
-    path: int
-    phase: float
 
 
 Element = Union[Pdc, LinearS, LinearI, PhaseS, PhaseI]

@@ -2,7 +2,9 @@
 
 Everything here is built directly on dense Kronecker-product ladder
 operators and brute-force enumeration, deliberately sharing no code with
-the package under test.
+the package under test.  The sparse-generator oracles at the end borrow
+only the package's basis order, so their matrices can be compared with
+its evolved columns entry by entry.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 
 def lowering(cutoff: int) -> np.ndarray:
@@ -126,3 +129,115 @@ def single_mode_squeeze_q(r: float, beta: complex, cutoff: int = 120) -> float:
 def grid_quadrature_2d(values: np.ndarray, step: float) -> float:
     """Riemann sum over a complex-plane grid: sum * dx * dy."""
     return float(np.sum(values) * step * step)
+
+
+# ---------------------------------------------------------------------------
+# sparse generators in a package basis
+#
+# These reproduce the package's former evolution route: whole-space sparse
+# anti-Hermitian generators built state by state, exponentiated densely.
+# They share only the basis order (``space.states``) with the package.
+# ---------------------------------------------------------------------------
+
+
+def state_vector(space, amplitudes, normalize: bool = False) -> np.ndarray:
+    """Vector in the package basis from occupation -> amplitude entries."""
+    vec = np.zeros(space.dimension, dtype=np.complex128)
+    for occ, amp in amplitudes.items():
+        vec[space.index(occ)] = amp
+    if normalize:
+        norm = np.linalg.norm(vec)
+        if norm == 0:
+            raise ValueError("cannot normalize the zero vector")
+        vec /= norm
+    return vec
+
+
+def _basis_lookup(space) -> dict[tuple[int, ...], int]:
+    return {state.key(): j for j, state in enumerate(space.states)}
+
+
+def pdc_generator(space, s_path: int, i_path: int, r: float) -> scipy.sparse.csr_matrix:
+    """Anti-Hermitian generator r(a+_s a+_i - a_s a_i) in the truncated basis."""
+    lookup = _basis_lookup(space)
+    a, b = s_path, space.n_s_paths + i_path
+    rows, cols, vals = [], [], []
+    for j, key in enumerate(lookup):
+        raised = list(key)
+        raised[a] += 1
+        raised[b] += 1
+        target = lookup.get(tuple(raised))
+        if target is None:
+            continue
+        amp = r * math.sqrt(raised[a] * raised[b])
+        rows += [target, j]
+        cols += [j, target]
+        vals += [amp, -amp]
+    dim = space.dimension
+    return scipy.sparse.csr_matrix(
+        (np.asarray(vals, dtype=np.complex128), (rows, cols)), shape=(dim, dim)
+    )
+
+
+def number_generator(space, coeff: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Generator sum_kj coeff[k, j] a+_k a_j over the concatenated path index.
+
+    Entries that move photons between the signal and idler sides are
+    rejected on sector-restricted spaces because they leave the sector.
+    """
+    n_s = space.n_s_paths
+    n_modes = n_s + space.n_i_paths
+    coeff = np.asarray(coeff, dtype=np.complex128)
+    if coeff.shape != (n_modes, n_modes):
+        raise ValueError(f"coefficient matrix must be {n_modes}x{n_modes}")
+    if space.delta is not None and (np.any(coeff[:n_s, n_s:]) or np.any(coeff[n_s:, :n_s])):
+        raise ValueError("side-mixing generator is not closed on a difference sector")
+    lookup = _basis_lookup(space)
+    rows, cols, vals = [], [], []
+    for j, key in enumerate(lookup):
+        for a in range(n_modes):
+            for b in range(n_modes):
+                if coeff[a, b] == 0 or key[b] == 0:
+                    continue
+                hopped = list(key)
+                hopped[b] -= 1
+                hopped[a] += 1
+                rows.append(lookup[tuple(hopped)])
+                cols.append(j)
+                vals.append(coeff[a, b] * math.sqrt(key[b] * hopped[a]))
+    dim = space.dimension
+    return scipy.sparse.csr_matrix(
+        (np.asarray(vals, dtype=np.complex128), (rows, cols)), shape=(dim, dim)
+    )
+
+
+def skew_log(unitary: np.ndarray) -> np.ndarray:
+    """Anti-Hermitian part of the principal matrix logarithm."""
+    gen = scipy.linalg.logm(np.asarray(unitary, dtype=np.complex128))
+    return (gen - gen.conj().T) / 2
+
+
+def nonlinear_operator(circuit, space) -> np.ndarray:
+    """Dense truncated circuit operator: one dense expm per element generator."""
+    from ptrsim.ptr import LinearI, LinearS, Pdc, PhaseI, PhaseS
+
+    n_s = space.n_s_paths
+    n_modes = n_s + space.n_i_paths
+    op = np.eye(space.dimension, dtype=np.complex128)
+    for element in circuit.elements:
+        coeff = np.zeros((n_modes, n_modes), dtype=np.complex128)
+        if isinstance(element, Pdc):
+            gen = pdc_generator(space, element.s_path, element.i_path, element.r)
+        elif isinstance(element, (PhaseS, PhaseI)):
+            mode = element.path + (0 if isinstance(element, PhaseS) else n_s)
+            coeff[mode, mode] = 1j * element.phase
+            gen = number_generator(space, coeff)
+        elif isinstance(element, LinearS):
+            coeff[:n_s, :n_s] = skew_log(element.matrix)
+            gen = number_generator(space, coeff)
+        else:
+            assert isinstance(element, LinearI)
+            coeff[n_s:, n_s:] = skew_log(element.matrix)
+            gen = number_generator(space, coeff)
+        op = scipy.linalg.expm(gen.toarray()) @ op
+    return op

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,26 @@ def test_parse_circuit_reports_field_paths(mutate, needle):
     with pytest.raises(CircuitFormatError) as err:
         cli.parse_circuit(document)
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "element,field",
+    [
+        ({"type": "phase_s", "path": 0, "phi": math.inf}, "elements[4].phi"),
+        ({"type": "pdc", "s": 0, "i": 0, "r": math.nan}, "elements[4].r"),
+        ({"type": "linear_i", "matrix": [[[1, 0], [0, 0]], [[0, 0], [math.nan, 0]]]}, "elements[4].matrix[1][1]"),
+    ],
+)
+def test_non_finite_values_are_usage_errors(tmp_path, capsys, element, field):
+    document = sample_document()
+    document["elements"].append(element)
+    with pytest.raises(CircuitFormatError, match=re.escape(field)):
+        cli.parse_circuit(document)
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(document))  # written as NaN / Infinity, which json reads back
+    assert cli.main(["ptr", "--circuit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "finite" in err
 
 
 def test_parse_circuit_reports_unitarity_defect():
@@ -213,3 +234,5 @@ def test_complex_argument_parser():
         cli._parse_complex_list("0.5", 2, "--test")
     with pytest.raises(CircuitFormatError):
         cli._parse_complex_list("zz", 1, "--test")
+    with pytest.raises(CircuitFormatError, match="finite"):
+        cli._parse_complex_list("0.5, nan", 2, "--test")

@@ -130,7 +130,7 @@ def test_multi_element_circuit_against_kron_oracle():
 
 def test_state_vector_builds_normalized_superpositions():
     space = fock.FockSpace(1, 1, 4)
-    vec = fock.state_vector(
+    vec = oracles.state_vector(
         space, {((0,), (0,)): 1.0, ((1,), (1,)): 1.0}, normalize=True
     )
     assert np.isclose(np.linalg.norm(vec), 1.0)

@@ -1,0 +1,107 @@
+"""The block engine against the dense generator oracle on random circuits."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from ptrsim import fock
+from ptrsim.errors import TruncationLeakError
+from ptrsim.ptr import Circuit, LinearI, LinearS, Pdc, PhaseI, PhaseS
+
+#: largest basis handed to the dense oracle (one dense expm per element)
+MAX_ORACLE_DIM = 160
+
+
+def haar(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(raw)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def sector_size(n_s: int, n_i: int, cap: int, delta) -> int:
+    if delta is None:
+        return math.comb(cap + n_s + n_i, n_s + n_i)
+    return sum(
+        math.comb(k_s + n_s - 1, n_s - 1) * math.comb(k_s - delta + n_i - 1, n_i - 1)
+        for k_s in range(max(0, delta), (cap + delta) // 2 + 1)
+    )
+
+
+@st.composite
+def circuits_on_spaces(draw):
+    n_s, n_i = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    seeds = st.integers(0, 2**32 - 1)
+    phases = st.floats(-math.pi, math.pi)
+    layer = st.sampled_from(["linear_s", "linear_i", "phase_s", "phase_i", "none"])
+    elements = []
+    for slot in range(draw(st.integers(0, 3)) + 1):
+        if slot:
+            elements.append(
+                Pdc(draw(st.integers(0, n_s - 1)), draw(st.integers(0, n_i - 1)), draw(st.floats(0.0, 1.5)))
+            )
+        for kind in draw(st.lists(layer, max_size=2)):
+            if kind == "linear_s":
+                elements.append(LinearS(haar(n_s, draw(seeds))))
+            elif kind == "linear_i":
+                elements.append(LinearI(haar(n_i, draw(seeds))))
+            elif kind == "phase_s":
+                elements.append(PhaseS(draw(st.integers(0, n_s - 1)), draw(phases)))
+            elif kind == "phase_i":
+                elements.append(PhaseI(draw(st.integers(0, n_i - 1)), draw(phases)))
+    delta = draw(st.one_of(st.none(), st.integers(-3, 3)))
+    # largest caps first: they cut the most ladders, and hypothesis favours early picks
+    caps = [cap for cap in range(10, 1, -1) if 0 < sector_size(n_s, n_i, cap, delta) <= MAX_ORACLE_DIM]
+    return Circuit(n_s, n_i, tuple(elements)), draw(st.sampled_from(caps)), delta, draw(seeds)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(circuits_on_spaces())
+def test_engine_matches_dense_oracle(case):
+    circuit, cap, delta, seed = case
+    space = fock.FockSpace(circuit.n_s_paths, circuit.n_i_paths, cap, delta=delta)
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(space.dimension, 2)) + 1j * rng.normal(size=(space.dimension, 2))
+    block /= np.linalg.norm(block, axis=0)
+    got = fock.apply_circuit(circuit, space, block, leak_tol=None)
+    expected = oracles.nonlinear_operator(circuit, space) @ block
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "circuit,cap,delta",
+    [
+        (Circuit(1, 1, (Pdc(0, 0, 1.4),)), 6, 0),
+        (Circuit(1, 1, (Pdc(0, 0, 1.2), PhaseI(0, 0.4), Pdc(0, 0, 0.9))), 9, 2),
+        (Circuit(2, 2, (Pdc(0, 1, 1.3), LinearS(haar(2, 3)), Pdc(1, 0, 1.1), LinearI(haar(2, 4)))), 6, None),
+        (Circuit(3, 2, (LinearI(haar(2, 5)), Pdc(2, 1, 1.5), LinearS(haar(3, 6)), Pdc(0, 0, 0.8))), 7, -1),
+    ],
+)
+def test_engine_matches_oracle_where_ladders_are_cut(circuit, cap, delta):
+    # gains this high push order-one weight onto the top rungs, so the
+    # comparison exercises the cut ladder generator, not just its bottom
+    space = fock.FockSpace(circuit.n_s_paths, circuit.n_i_paths, cap, delta=delta)
+    block = np.eye(space.dimension, dtype=np.complex128)
+    got = fock.apply_circuit(circuit, space, block, leak_tol=None)
+    expected = oracles.nonlinear_operator(circuit, space)
+    assert np.max(np.abs(got - expected)) <= 1e-12
+    top = space.totals > cap - 2
+    assert np.max(np.sum(np.abs(got[top]) ** 2, axis=0)) > 0.1
+
+
+def test_leak_guard_regression():
+    # two cascaded sources and a signal splitter from vacuum leave 5e-3 of
+    # the weight within two photons of cap 6, and 1e-7 near cap 20
+    circuit = Circuit(2, 1, (Pdc(0, 0, 0.7), LinearS(haar(2, 9)), Pdc(1, 0, 0.5)))
+    vacuum = ((0, 0), (0,))
+    small = fock.FockSpace(2, 1, 6, delta=0)
+    with pytest.raises(TruncationLeakError):
+        fock.apply_circuit(circuit, small, small.basis_vector(vacuum), leak_tol=1e-3)
+    fock.apply_circuit(circuit, small, small.basis_vector(vacuum), leak_tol=None)
+    adequate = fock.FockSpace(2, 1, 20, delta=0)
+    out = fock.apply_circuit(circuit, adequate, adequate.basis_vector(vacuum), leak_tol=1e-3)
+    assert np.isclose(np.linalg.norm(out), 1.0, atol=1e-13)

@@ -62,7 +62,7 @@ def test_apply_linear_matches_dense_operator():
 def test_number_generator_diagonal_counts_photons():
     space = fock.FockSpace(2, 1, 3)
     coeff = np.diag([1.0, 2.0, 3.0]).astype(complex)
-    gen = fock.number_generator(space, coeff).toarray()
+    gen = oracles.number_generator(space, coeff).toarray()
     expected = space.counts @ np.array([1.0, 2.0, 3.0])
     assert np.allclose(np.diag(gen), expected)
     assert np.allclose(gen, np.diag(expected))
@@ -73,7 +73,7 @@ def test_number_generator_rejects_side_mixing_on_delta_sector():
     coeff = np.zeros((2, 2), dtype=complex)
     coeff[0, 1] = 1.0  # signal <- idler hop breaks the conserved difference
     with pytest.raises(ValueError):
-        fock.number_generator(space, coeff)
+        oracles.number_generator(space, coeff)
 
 
 def test_annihilation_matrix_matches_kron_oracle():
@@ -107,7 +107,7 @@ def test_nonlinear_operator_matches_column_evolution():
 
     circuit = Circuit(1, 1, (Pdc(0, 0, 0.4), PhaseS(0, 0.3)))
     space = fock.FockSpace(1, 1, 8, delta=0)
-    op = fock.nonlinear_operator(circuit, space)
+    op = oracles.nonlinear_operator(circuit, space)
     for occ in [((0,), (0,)), ((2,), (2,))]:
         column = fock.apply_circuit(circuit, space, space.basis_vector(occ), leak_tol=None)
         assert np.allclose(op[:, space.index(occ)], column, atol=1e-12)

@@ -165,3 +165,19 @@ def test_circuit_validation():
 def test_negative_gain_source_rejected():
     with pytest.raises(ValueError):
         Pdc(0, 0, -0.1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Pdc(0, 0, math.nan),
+        lambda: Pdc(0, 0, math.inf),
+        lambda: PhaseS(0, math.inf),
+        lambda: PhaseI(0, math.nan),
+        lambda: LinearS([[math.nan]]),
+        lambda: LinearI([[1, 0], [0, complex(math.inf, 0)]]),
+    ],
+)
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
