@@ -454,7 +454,7 @@ def dispatch(args: argparse.Namespace) -> int:
     except CircuitFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PtrsimError as exc:
+    except (PtrsimError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

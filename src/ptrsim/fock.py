@@ -126,11 +126,7 @@ def _exact_compositions(n_modes: int, total: int) -> Iterator[tuple[int, ...]]:
 
 
 def occupations_with_total(n_modes: int, total: int) -> list[tuple[int, ...]]:
-    """Occupation tuples on ``n_modes`` modes with total == total (lexicographic).
-
-    Kept a recursive generator: built from :func:`_compositions`, the list
-    made permanent loops over it run 20-40% faster in some processes only.
-    """
+    """Occupation tuples on ``n_modes`` modes with total == total (lexicographic)."""
     return list(_exact_compositions(n_modes, total))
 
 

@@ -37,7 +37,7 @@ class GaussianState:
     The covariance is the symmetrized second-moment matrix of the doubled
     operator vector; the vacuum has covariance I/2.  Construction validates
     the conjugation structure (lower half mirrors the upper half) and
-    Hermiticity.
+    Hermiticity, to ``HERMITICITY_TOL`` relative to the largest entry.
     """
 
     displacement: np.ndarray
@@ -51,12 +51,15 @@ class GaussianState:
         n = disp.size // 2
         if cov.shape != (2 * n, 2 * n):
             raise ValueError("covariance shape does not match the displacement")
-        if np.abs(disp[n:] - disp[:n].conj()).max(initial=0.0) > HERMITICITY_TOL:
+        # relative checks: high-gain covariances grow like e^(2 total gain)
+        disp_tol = HERMITICITY_TOL * max(1.0, np.abs(disp).max(initial=0.0))
+        cov_tol = HERMITICITY_TOL * max(1.0, np.abs(cov).max(initial=0.0))
+        if np.abs(disp[n:] - disp[:n].conj()).max(initial=0.0) > disp_tol:
             raise ValueError("displacement lower half must conjugate the upper half")
-        if np.abs(cov - cov.conj().T).max() > HERMITICITY_TOL:
+        if np.abs(cov - cov.conj().T).max(initial=0.0) > cov_tol:
             raise ValueError("covariance must be Hermitian")
         swap = _half_swap(n)
-        if np.abs(cov - swap @ cov.conj() @ swap).max() > HERMITICITY_TOL:
+        if np.abs(cov - swap @ cov.conj() @ swap).max(initial=0.0) > cov_tol:
             raise ValueError("covariance must commute with conjugation of the doubled basis")
         object.__setattr__(self, "displacement", disp)
         object.__setattr__(self, "covariance", cov)

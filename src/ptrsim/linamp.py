@@ -1,15 +1,17 @@
 """Multiphoton amplitudes of linear networks and the duality verifier.
 
 Postselected Fock amplitudes of a linear network are matrix permanents of
-row/column-repeated submatrices.  The verifier pits those permanents,
-scaled by the normalization coefficient of the dual setup, against
-brute-force truncated Fock-space amplitudes of the nonlinear circuit.
+row/column-repeated submatrices, evaluated by Ryser's formula summed over
+the repeats.  The verifier pits those permanents, scaled by the
+normalization coefficient of the dual setup, against brute-force
+truncated Fock-space amplitudes of the nonlinear circuit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -21,68 +23,51 @@ from .ptr import Circuit, PtrSetup
 from .scatter import ScatteringMatrix
 
 MAX_PERMANENT_SIZE = 20
+#: Ryser terms evaluated per matmul; grids this small are also cached.
+RYSER_CHUNK = 1 << 10
 
 
-def _permanent_ryser(matrix: np.ndarray) -> complex:
-    # Gray-code subset walk; row sums are updated by one column per step.
-    n = matrix.shape[0]
-    row_sums = np.zeros(n, dtype=np.complex128)
-    total = 0.0 + 0.0j
-    gray = 0
-    sign = 1
-    for k in range(1, 1 << n):
-        new_gray = k ^ (k >> 1)
-        changed = gray ^ new_gray
-        col = changed.bit_length() - 1
-        if new_gray & changed:
-            row_sums += matrix[:, col]
-        else:
-            row_sums -= matrix[:, col]
-        gray = new_gray
-        sign = -sign  # parity of |S| alternates along the Gray walk
-        total += sign * np.prod(row_sums)
-    return complex(total if n % 2 == 0 else -total)
+def _multiplicities(matrix: np.ndarray) -> tuple[list[int], tuple[int, ...]]:
+    """First index and length of each run of equal adjacent columns."""
+    repeats = (matrix[:, 1:] == matrix[:, :-1]).all(axis=0).tolist()
+    starts = [0] + [j + 1 for j, repeat in enumerate(repeats) if not repeat]
+    return starts, tuple(b - a for a, b in zip(starts, starts[1:] + [matrix.shape[1]]))
 
 
-def _permanent_glynn(matrix: np.ndarray) -> complex:
-    n = matrix.shape[0]
-    if n == 1:
-        return complex(matrix[0, 0])
-    half = 1 << (n - 1)
-    total = 0.0 + 0.0j
-    chunk = 1 << 16
-    for start in range(0, half, chunk):
-        codes = np.arange(start, min(start + chunk, half), dtype=np.uint64)
-        bits = (codes[None, :] >> np.arange(n - 1, dtype=np.uint64)[:, None]) & 1
-        deltas = np.vstack([np.ones((1, codes.size)), 1.0 - 2.0 * bits]).astype(np.complex128)
-        prods = np.prod(matrix.T @ deltas, axis=0)
-        parities = 1.0 - 2.0 * (np.sum(bits, axis=0) % 2)
-        total += np.sum(parities * prods)
-    return complex(total / half)
+def _terms(multiplicities: tuple[int, ...]) -> int:
+    return math.prod(m + 1 for m in multiplicities)
 
 
-def _permanent_naive(matrix: np.ndarray) -> complex:
-    from itertools import permutations
+def _ryser_grid(multiplicities: tuple[int, ...], start: int, stop: int):
+    """Terms start..stop-1 of the mixed-radix grid k in prod [0, m_j], with weights.
 
-    n = matrix.shape[0]
-    if n > 9:
-        raise DimensionOverflowError("naive permanent is an oracle for small sizes only")
-    total = 0.0 + 0.0j
-    for perm in permutations(range(n)):
-        prod = 1.0 + 0.0j
-        for row, col in enumerate(perm):
-            prod *= matrix[row, col]
-        total += prod
-    return complex(total)
+    Returns the grid as a complex (J, stop - start) matrix and the weights
+    (-1)^(n - |k|) prod_j C(m_j, k_j), n = sum m_j.
+    """
+    radices = np.array(multiplicities) + 1
+    strides = np.cumprod(np.concatenate(([1], radices[:-1])))
+    digits = (np.arange(start, stop)[None, :] // strides[:, None]) % radices[:, None]
+    signed_binom = np.zeros((len(multiplicities), radices.max()))
+    for j, m in enumerate(multiplicities):
+        signed_binom[j, : m + 1] = [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
+    weights = signed_binom[np.arange(len(multiplicities))[:, None], digits].prod(axis=0)
+    grid, weights = digits.astype(np.complex128), weights.astype(np.complex128)
+    grid.setflags(write=False)  # one-chunk grids are cached and shared
+    weights.setflags(write=False)
+    return grid, weights
 
 
-def permanent(matrix: np.ndarray, method: str = "ryser") -> complex:
-    """Permanent of a square complex matrix.
+_cached_ryser_grid = lru_cache(maxsize=128)(_ryser_grid)
 
-    ``ryser`` (default) walks subsets in Gray-code order in O(2^n n);
-    ``glynn`` is an independent route for cross-checks; ``naive`` is the
-    O(n! n) definition, kept for oracle duty at small sizes.  Sizes above
-    ``MAX_PERMANENT_SIZE`` are refused.
+
+def permanent(matrix: np.ndarray) -> complex:
+    """Permanent of a square complex matrix by Ryser's formula.
+
+    Runs of equal adjacent columns (or rows, whichever side needs fewer
+    terms) are summed by multiplicity, so a matrix whose distinct columns
+    repeat m_j times costs prod(m_j + 1) terms instead of 2^n; the terms
+    are evaluated in chunks of ``RYSER_CHUNK``, each one matmul.  Sizes
+    above ``MAX_PERMANENT_SIZE`` are refused.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -92,16 +77,24 @@ def permanent(matrix: np.ndarray, method: str = "ryser") -> complex:
         raise DimensionOverflowError(f"permanent of size {n} exceeds {MAX_PERMANENT_SIZE}")
     if n == 0:
         return 1.0 + 0.0j
-    if method == "ryser":
-        return _permanent_ryser(matrix)
-    if method == "glynn":
-        return _permanent_glynn(matrix)
-    if method == "naive":
-        return _permanent_naive(matrix)
-    raise ValueError(f"unknown permanent method {method!r}")
+    # Ryser's formula summed by multiplicity: a subset takes k = 0..m copies
+    # of a column repeated m times, in C(m, k) ways (Chin & Huh 2018).
+    col_starts, col_mult = _multiplicities(matrix)
+    row_starts, row_mult = _multiplicities(matrix.T)
+    if _terms(row_mult) < _terms(col_mult):
+        matrix, col_starts, col_mult = matrix.T, row_starts, row_mult  # perm A = perm A^T
+    distinct, terms = matrix[:, col_starts], _terms(col_mult)
+    if terms <= RYSER_CHUNK:
+        grid, weights = _cached_ryser_grid(col_mult, 0, terms)
+        return complex(np.prod(distinct @ grid, axis=0) @ weights)
+    total = 0.0 + 0.0j
+    for start in range(0, terms, RYSER_CHUNK):
+        grid, weights = _ryser_grid(col_mult, start, min(start + RYSER_CHUNK, terms))
+        total += np.prod(distinct @ grid, axis=0) @ weights
+    return complex(total)
 
 
-def linear_fock_amplitude(matrix, input_occ, output_occ, method: str = "ryser") -> complex:
+def linear_fock_amplitude(matrix, input_occ, output_occ) -> complex:
     """<output| L |input> for a photon-number-conserving linear network.
 
     ``matrix`` scatters creation operators over the concatenated
@@ -134,7 +127,7 @@ def linear_fock_amplitude(matrix, input_occ, output_occ, method: str = "ryser") 
     norm = math.prod(math.factorial(n) for n in in_counts) * math.prod(
         math.factorial(n) for n in out_counts
     )
-    return permanent(sub, method=method) / math.sqrt(norm)
+    return permanent(sub) / math.sqrt(norm)
 
 
 def ptr_postselection_amplitude(setup: PtrSetup, input_occ, output_occ) -> complex:

@@ -105,6 +105,27 @@ def permanent_by_expansion(matrix: np.ndarray) -> complex:
     return total
 
 
+def permanent_glynn(matrix: np.ndarray) -> complex:
+    """Permanent by Glynn's formula, 2^(n-1) sign vectors in chunks of 2^16."""
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    n = matrix.shape[0]
+    if n == 0:
+        return 1.0 + 0.0j
+    if n == 1:
+        return complex(matrix[0, 0])
+    half = 1 << (n - 1)
+    total = 0.0 + 0.0j
+    chunk = 1 << 16
+    for start in range(0, half, chunk):
+        codes = np.arange(start, min(start + chunk, half), dtype=np.uint64)
+        bits = (codes[None, :] >> np.arange(n - 1, dtype=np.uint64)[:, None]) & 1
+        deltas = np.vstack([np.ones((1, codes.size)), 1.0 - 2.0 * bits]).astype(np.complex128)
+        prods = np.prod(matrix.T @ deltas, axis=0)
+        parities = 1.0 - 2.0 * (np.sum(bits, axis=0) % 2)
+        total += np.sum(parities * prods)
+    return complex(total / half)
+
+
 def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
     """Truncated coherent-state column (exact weights, no renormalization)."""
     amps = np.zeros(cutoff + 1, dtype=np.complex128)

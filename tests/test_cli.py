@@ -10,6 +10,7 @@ import pytest
 from ptrsim import cli
 from ptrsim.errors import CircuitFormatError
 from ptrsim.ptr import build_ptr
+from test_gaussian import high_gain_circuit
 
 
 def sample_document() -> dict:
@@ -213,6 +214,21 @@ def test_qfunc_command_explicit_points_need_all_four(circuit_file, capsys):
     )
     assert code == 0
     capsys.readouterr()
+
+
+def test_qfunc_command_passes_at_high_gain(tmp_path, capsys):
+    path = tmp_path / "high_gain.json"
+    path.write_text(json.dumps(cli.circuit_to_document(high_gain_circuit())))
+    assert cli.main(["qfunc", "--circuit", str(path)]) == 0
+
+
+def test_linear_algebra_failure_exits_3(circuit_file, capsys, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli.gaussian, "q_duality_residual", singular)
+    assert cli.main(["qfunc", "--circuit", circuit_file]) == 3
+    assert "numerical failure: Singular matrix" in capsys.readouterr().err
 
 
 def test_awp_command(capsys):

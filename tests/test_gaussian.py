@@ -189,6 +189,25 @@ def test_vacuum_q_determinant_identity():
     assert gaussian.vacuum_q_determinant_defect(random_circuit_2x2(4)) < 1e-12
 
 
+def high_gain_circuit() -> Circuit:
+    """3+2 paths, four r = 3 sources each followed by a Haar signal layer."""
+    elements = []
+    for seed, (s_path, i_path) in enumerate([(0, 0), (1, 1), (2, 0), (0, 1)]):
+        elements += [Pdc(s_path, i_path, 3.0), LinearS(haar(3, seed))]
+    return Circuit(3, 2, tuple(elements))
+
+
+def test_q_duality_holds_at_high_gain():
+    # covariance entries reach ~1e7, so their roundoff fails an absolute 1e-9 check
+    rng = np.random.default_rng(0)
+    alpha_s = 0.5 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+    alpha_i = 0.5 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+    beta_s = 0.6 * (rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3)))
+    beta_i = 0.6 * (rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2)))
+    residual = gaussian.q_duality_residual(high_gain_circuit(), alpha_s, alpha_i, beta_s, beta_i)
+    assert residual <= 1e-8
+
+
 def test_singular_q_covariance_rejected():
     state = gaussian.GaussianState(np.zeros(2), -np.eye(2) / 2)
     with pytest.raises(ValueError):

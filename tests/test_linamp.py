@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ptrsim import fock, linamp, scatter
@@ -23,8 +25,61 @@ def test_permanent_methods_agree_with_expansion(n):
     rng = np.random.default_rng(n)
     matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     expected = oracles.permanent_by_expansion(matrix)
-    for method in ("ryser", "glynn", "naive"):
-        assert np.isclose(linamp.permanent(matrix, method=method), expected, rtol=1e-12)
+    assert np.isclose(linamp.permanent(matrix), expected, rtol=1e-12)
+    assert np.isclose(oracles.permanent_glynn(matrix), expected, rtol=1e-12)
+
+
+def repeated_submatrix(matrix, row_counts, col_counts) -> np.ndarray:
+    """Rows and columns repeated by occupation, as ``linear_fock_amplitude`` builds them."""
+    rows = np.repeat(np.arange(matrix.shape[0]), row_counts)
+    cols = np.repeat(np.arange(matrix.shape[1]), col_counts)
+    return matrix[np.ix_(rows, cols)]
+
+
+@st.composite
+def occupied_submatrices(draw):
+    modes = draw(st.integers(1, 8))
+    photons = draw(st.integers(1, 8))
+    occupation = st.lists(st.integers(0, modes - 1), min_size=photons, max_size=photons)
+    row_counts = np.bincount(draw(occupation), minlength=modes)
+    col_counts = np.bincount(draw(occupation), minlength=modes)
+    unitary = haar(modes, draw(st.integers(0, 2**32 - 1)))
+    return repeated_submatrix(unitary, row_counts, col_counts)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(occupied_submatrices())
+def test_permanent_of_repeated_submatrices_matches_expansion(sub):
+    expected = oracles.permanent_by_expansion(sub)
+    assert abs(linamp.permanent(sub) - expected) <= 1e-11 * abs(expected)
+
+
+def test_permanent_is_exact_on_repeated_integer_matrices():
+    rng = np.random.default_rng(21)
+    for row_counts, col_counts in [((3, 0, 2), (1, 4, 0)), ((2, 2, 1, 1), (0, 3, 3, 0)), ((6,), (6,))]:
+        size = len(row_counts)
+        base = rng.integers(-3, 4, size=(size, size)) + 1j * rng.integers(-3, 4, size=(size, size))
+        sub = repeated_submatrix(base.astype(np.complex128), row_counts, col_counts)
+        assert linamp.permanent(sub) == oracles.permanent_by_expansion(sub)
+
+
+def test_permanent_sums_over_rows_when_they_need_fewer_terms():
+    # one row repeated five times plus one more (2 * 6 = 12 terms) against
+    # six distinct columns (2^6 = 64 terms): the transposed matrix is summed
+    base = haar(6, 17)
+    sub = repeated_submatrix(base, (5, 0, 1, 0, 0, 0), (1, 1, 1, 1, 1, 1))
+    _, row_mult = linamp._multiplicities(sub.T)
+    _, col_mult = linamp._multiplicities(sub)
+    assert linamp._terms(row_mult) < linamp._terms(col_mult)
+    expected = oracles.permanent_by_expansion(sub)
+    assert abs(linamp.permanent(sub) - expected) <= 1e-12 * abs(expected)
+
+
+def test_permanent_of_distinct_16x16_matches_glynn_across_chunks():
+    matrix = haar(16, 3)
+    assert 2**16 > linamp.RYSER_CHUNK  # summed in several chunks
+    expected = oracles.permanent_glynn(matrix)
+    assert abs(linamp.permanent(matrix) - expected) <= 1e-10 * abs(expected)
 
 
 def test_permanent_of_all_ones_is_factorial():
@@ -55,11 +110,6 @@ def test_permanent_2x2_closed_form():
 def test_permanent_rejects_oversized_input():
     with pytest.raises(DimensionOverflowError):
         linamp.permanent(np.ones((21, 21)))
-
-
-def test_permanent_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        linamp.permanent(np.ones((2, 2)), method="laplace")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -39,6 +39,17 @@ def test_identity_is_neutral_for_star():
     assert np.allclose(scatter.star(factor, eye).full, factor.full, atol=1e-14)
 
 
+def test_full_matrix_is_built_once_and_read_only():
+    (factor,) = random_scatterings(5, 1)
+    transfer = circuit_transfer(Circuit(2, 2, (Pdc(0, 1, 0.4),)))
+    for matrix in (factor, transfer):
+        assert matrix.full is matrix.full
+        with pytest.raises(ValueError):
+            matrix.full[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            matrix.ss[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_star_is_associative(seed):
     a, b, c = random_scatterings(seed, 3)
