@@ -75,7 +75,7 @@ def _decode_matrix(value, path: str) -> np.ndarray:
     return matrix
 
 
-def _decode_element(entry, path: str, n_s: int, n_i: int):
+def _decode_element(entry, path: str):
     if not isinstance(entry, dict):
         raise CircuitFormatError(f"{path}: expected an object")
     tag = entry.get("type")
@@ -98,16 +98,11 @@ def _decode_element(entry, path: str, n_s: int, n_i: int):
                 _expect_int(entry.get("i"), f"{path}.i"),
                 _expect_real(entry.get("r"), f"{path}.r"),
             )
-        if tag == "linear_s":
-            return LinearS(_decode_matrix(entry.get("matrix"), f"{path}.matrix"))
-        if tag == "linear_i":
-            return LinearI(_decode_matrix(entry.get("matrix"), f"{path}.matrix"))
-        if tag == "phase_s":
-            return PhaseS(
-                _expect_int(entry.get("path"), f"{path}.path"),
-                _expect_real(entry.get("phi"), f"{path}.phi"),
-            )
-        return PhaseI(
+        if tag.startswith("linear"):
+            linear = LinearS if tag == "linear_s" else LinearI
+            return linear(_decode_matrix(entry.get("matrix"), f"{path}.matrix"))
+        plate = PhaseS if tag == "phase_s" else PhaseI
+        return plate(
             _expect_int(entry.get("path"), f"{path}.path"),
             _expect_real(entry.get("phi"), f"{path}.phi"),
         )
@@ -127,10 +122,7 @@ def parse_circuit(document) -> Circuit:
     extra = set(document) - {"s_paths", "i_paths", "elements"}
     if extra:
         raise CircuitFormatError(f"document: unexpected fields {sorted(extra)}")
-    elements = tuple(
-        _decode_element(entry, f"elements[{j}]", n_s, n_i)
-        for j, entry in enumerate(elements_doc)
-    )
+    elements = tuple(_decode_element(entry, f"elements[{j}]") for j, entry in enumerate(elements_doc))
     try:
         return Circuit(n_s, n_i, elements)
     except ValueError as exc:
@@ -147,21 +139,17 @@ def _encode_matrix(matrix: np.ndarray) -> list:
 
 
 def circuit_to_document(circuit: Circuit) -> dict:
-    """Inverse of :func:`parse_circuit`; the round trip is lossless."""
-    elements = []
-    for element in circuit.elements:
-        if isinstance(element, Pdc):
-            elements.append({"type": "pdc", "s": element.s_path, "i": element.i_path, "r": element.r})
-        elif isinstance(element, LinearS):
-            elements.append({"type": "linear_s", "matrix": _encode_matrix(element.matrix)})
-        elif isinstance(element, LinearI):
-            elements.append({"type": "linear_i", "matrix": _encode_matrix(element.matrix)})
-        elif isinstance(element, PhaseS):
-            elements.append({"type": "phase_s", "path": element.path, "phi": element.phase})
-        elif isinstance(element, PhaseI):
-            elements.append({"type": "phase_i", "path": element.path, "phi": element.phase})
-        else:
-            raise TypeError(f"unknown circuit element {element!r}")
+    """Inverse of :func:`parse_circuit`; the round trip is lossless.
+
+    Phase plates come out as the diagonal ``linear_s``/``linear_i`` networks
+    the circuit stores them as.
+    """
+    elements = [
+        {"type": "pdc", "s": el.s_path, "i": el.i_path, "r": el.r}
+        if isinstance(el, Pdc)
+        else {"type": f"linear_{el.side}", "matrix": _encode_matrix(el.matrix)}
+        for el in circuit.elements
+    ]
     return {"s_paths": circuit.n_s_paths, "i_paths": circuit.n_i_paths, "elements": elements}
 
 
@@ -398,39 +386,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, circuit=True):
-        if circuit:
-            p.add_argument("--circuit", required=True, help="circuit document (JSON)")
-        p.add_argument("--cutoff", type=int, default=None, help="total photon cap (default: auto)")
-        p.add_argument("--max-photons", type=int, default=DEFAULT_MAX_PHOTONS, help="photon budget per side")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="pass/fail tolerance")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+    def flag(*names, **options) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **options)
+        return parent
 
-    p = sub.add_parser("ptr", help="print the time-reversed network, nc, and cavity factors")
-    common(p)
-    p = sub.add_parser("amp", help="compare one postselection amplitude across both arms")
-    common(p)
+    circuit = flag("--circuit", required=True, help="circuit document (JSON)")
+    cutoff = flag("--cutoff", type=int, default=None, help="total photon cap (default: auto)")
+    max_photons = flag("--max-photons", type=int, default=DEFAULT_MAX_PHOTONS, help="photon budget per side")
+    tol = flag("--tol", type=float, default=DEFAULT_TOL, help="pass/fail tolerance")
+    seed = flag("--seed", type=int, default=DEFAULT_SEED, help="random seed")
+    as_json = flag("--json", action="store_true", help="machine-readable output")
+
+    commands = {  # name: (help, the shared flags it reads)
+        "ptr": ("print the time-reversed network, nc, and cavity factors", [circuit]),
+        "amp": ("compare one postselection amplitude across both arms", [circuit, cutoff, tol]),
+        "verify": ("compare all amplitudes within a photon budget", [circuit, cutoff, max_photons, tol, seed]),
+        "qfunc": ("Q-function duality on coherent points", [circuit, tol, seed]),
+        "awp": ("four-photon coincidence ratio on the built-in two-crystal scene", [tol, seed]),
+        "examples": ("run the closed-form reference scenarios", []),
+        "teleport": ("polarization teleportation demonstration", [seed]),
+    }
+    parsers = {
+        name: sub.add_parser(name, help=text, parents=shared + [as_json])
+        for name, (text, shared) in commands.items()
+    }
+    p = parsers["amp"]
     p.add_argument("--input", required=True, help="input occupation 's0,s1;i0'")
     p.add_argument("--output", required=True, help="output occupation 's0,s1;i0'")
-    p = sub.add_parser("verify", help="compare all amplitudes within a photon budget")
-    common(p)
-    p.add_argument("--samples", type=int, default=None, help="subsample this many pairs")
-    p = sub.add_parser("qfunc", help="Q-function duality on coherent points")
-    common(p)
+    parsers["verify"].add_argument("--samples", type=int, default=None, help="subsample this many pairs")
+    p = parsers["qfunc"]
     p.add_argument("--points", type=int, default=50, help="number of random probe points")
     p.add_argument("--alpha-s", default=None, help="input signal coherent amplitudes, comma separated")
     p.add_argument("--alpha-i", default=None, help="input idler coherent amplitudes")
     p.add_argument("--beta-s", default=None, help="probe signal coherent amplitudes")
     p.add_argument("--beta-i", default=None, help="probe idler coherent amplitudes")
-    p = sub.add_parser("awp", help="four-photon coincidence ratio on the built-in two-crystal scene")
-    common(p, circuit=False)
-    p.add_argument("--gain", type=float, default=0.05, help="pair gain of both crystals")
-    p = sub.add_parser("examples", help="run the closed-form reference scenarios")
-    common(p, circuit=False)
-    p = sub.add_parser("teleport", help="polarization teleportation demonstration")
-    common(p, circuit=False)
-    p.add_argument("--gain", type=float, default=0.05, help="pair gain of both crystals")
+    for name in ("awp", "teleport"):
+        parsers[name].add_argument("--gain", type=float, default=0.05, help="pair gain of both crystals")
+    p = parsers["teleport"]
     p.add_argument("--ch", default=None, help="prepared H amplitude, e.g. '0.6'")
     p.add_argument("--cv", default=None, help="prepared V amplitude, e.g. '0.8j'")
     return parser
@@ -454,7 +447,7 @@ def dispatch(args: argparse.Namespace) -> int:
     except CircuitFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PtrsimError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+    except (PtrsimError, ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -14,7 +14,7 @@ Every element acts block-diagonally on the truncated basis, and
   one small dense ``expm`` of its tridiagonal generator, cut at the cap.
 * a one-sided linear network conserves the photon number k on its side; one
   k-photon block (exp of its lifted Hermitian log) serves every other side.
-* phase plates and diagonal networks multiply each state by a phase.
+* a diagonal network (a phase plate) multiplies each state by a phase.
 
 Blocks act by gather, one matrix product and scatter.  Truncation is
 validated, never assumed: callers get a measured norm defect and a hard
@@ -417,11 +417,8 @@ def _apply_element(space: FockSpace, element, block: np.ndarray) -> None:
         for diff, idx in space._ladders(element.s_path, element.i_path):
             _apply_block(block, idx, _ladder_exp(diff, len(idx), element.r))
         return
-    lo, hi = (0, n_s) if isinstance(element, (ptr.LinearS, ptr.PhaseS)) else (n_s, n_modes)
-    if isinstance(element, (ptr.PhaseS, ptr.PhaseI)):
-        _apply_unitary(space, lo, hi, ptr.phase_matrix(element.path, element.phase, hi - lo), block)
-    else:
-        _apply_unitary(space, lo, hi, element.matrix, block)
+    lo, hi = (0, n_s) if element.side == "s" else (n_s, n_modes)
+    _apply_unitary(space, lo, hi, element.matrix, block)
 
 
 def _columns(block) -> tuple[np.ndarray, bool]:
@@ -456,8 +453,6 @@ def apply_circuit(
     necessary condition, not an error bound; quoted accuracies come from
     higher-cap reruns.
     """
-    from . import ptr  # local import: ptr depends on scatter only
-
     if circuit.n_s_paths != space.n_s_paths or circuit.n_i_paths != space.n_i_paths:
         raise ValueError("circuit and space disagree on path counts")
     block, squeeze = _columns(block)
@@ -467,7 +462,7 @@ def apply_circuit(
     if leak_tol is not None:
         norms_out = np.linalg.norm(block, axis=0)
         defect = float(np.max(np.abs(norms_out - norms_in) / np.maximum(norms_in, 1e-300)))
-        if any(isinstance(element, ptr.Pdc) for element in circuit.elements):
+        if circuit.pdc_count:
             band = space.totals > space.photon_cap - 2
             if np.any(band):
                 band_weight = np.sum(np.abs(block[band, :]) ** 2, axis=0)

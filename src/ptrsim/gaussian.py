@@ -158,7 +158,7 @@ def _q_covariance(state: GaussianState) -> np.ndarray:
     sigma_q = state.covariance + np.eye(2 * state.n_modes) / 2
     floor = np.linalg.eigvalsh(sigma_q).min()
     if floor < EIGENVALUE_FLOOR:
-        raise ValueError(f"Q covariance is not positive definite (min eigenvalue {floor:.3e})")
+        raise np.linalg.LinAlgError(f"Q covariance is not positive definite (min eigenvalue {floor:.3e})")
     return sigma_q
 
 

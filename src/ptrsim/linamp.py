@@ -94,33 +94,18 @@ def permanent(matrix: np.ndarray) -> complex:
     return complex(total)
 
 
-def linear_fock_amplitude(matrix, input_occ, output_occ) -> complex:
+def linear_fock_amplitude(network: ScatteringMatrix, input_occ, output_occ) -> complex:
     """<output| L |input> for a photon-number-conserving linear network.
 
-    ``matrix`` scatters creation operators over the concatenated
+    ``network.full`` scatters creation operators over the concatenated
     (signal, idler) path index; occupations repeat its columns (input) and
     rows (output).  Zero when the total photon number changes.
     """
-    if isinstance(matrix, ScatteringMatrix):
-        n_s, n_i = matrix.n_s, matrix.n_i
-        matrix = matrix.full
-    else:
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        n_s, n_i = matrix.shape[0], 0
-    if n_i:
-        input_occ = fock.as_occupation(input_occ, n_s, n_i)
-        output_occ = fock.as_occupation(output_occ, n_s, n_i)
-        in_counts = input_occ.key()
-        out_counts = output_occ.key()
-    else:
-        if isinstance(input_occ, OccupationVector):
-            input_occ = input_occ.key()
-        if isinstance(output_occ, OccupationVector):
-            output_occ = output_occ.key()
-        in_counts = tuple(int(n) for n in input_occ)
-        out_counts = tuple(int(n) for n in output_occ)
+    in_counts = fock.as_occupation(input_occ, network.n_s, network.n_i).key()
+    out_counts = fock.as_occupation(output_occ, network.n_s, network.n_i).key()
     if sum(in_counts) != sum(out_counts):
         return 0.0 + 0.0j
+    matrix = network.full
     cols = np.repeat(np.arange(matrix.shape[1]), in_counts)
     rows = np.repeat(np.arange(matrix.shape[0]), out_counts)
     sub = matrix[np.ix_(rows, cols)]

@@ -2,7 +2,8 @@
 
 A circuit is an ordered list of elements acting on a fixed set of signal
 and idler paths: nondegenerate parametric pair sources (``Pdc``), linear
-networks confined to one side, and single-path phase plates.  Substituting
+networks confined to one side, and single-path phase plates, which a circuit
+stores as diagonal networks of their side.  Substituting
 every pair source by its hypothetical beamsplitter and folding the chain
 with the Redheffer star product yields the scattering matrix of the dual
 linear setup together with the normalization coefficient that relates
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -40,38 +41,50 @@ class Pdc:
             raise ValueError(f"pair-source gain must be finite and nonnegative, got {self.r!r}")
 
 
-def _checked_unitary(matrix, side: str) -> np.ndarray:
-    matrix = np.array(matrix, dtype=np.complex128)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError(f"{side}-side matrix has non-finite entries")
-    defect = scatter.unitarity_defect(matrix)
-    if defect > UNITARITY_TOL:
-        raise ValueError(f"{side}-side matrix is not unitary: defect {defect:.3e} exceeds 1e-10")
+_SIDE_NAMES = {"s": "signal", "i": "idler"}
+
+
+@dataclass(frozen=True)
+class _Linear:
+    """Unitary linear network confined to the paths of one side."""
+
+    side: ClassVar[str]
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        name = _SIDE_NAMES[self.side]
+        matrix = np.array(self.matrix, dtype=np.complex128)
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError(f"{name}-side matrix has non-finite entries")
+        defect = scatter.unitarity_defect(matrix)
+        if defect > UNITARITY_TOL:
+            raise ValueError(f"{name}-side matrix is not unitary: defect {defect:.3e} exceeds 1e-10")
+        object.__setattr__(self, "matrix", matrix)
+
+
+@dataclass(frozen=True)
+class LinearS(_Linear):
+    """Unitary linear network on the signal paths."""
+
+    side = "s"
+
+
+@dataclass(frozen=True)
+class LinearI(_Linear):
+    """Unitary linear network on the idler paths."""
+
+    side = "i"
+
+
+def phase_matrix(path: int, phase: float, n_paths: int) -> np.ndarray:
+    matrix = np.eye(n_paths, dtype=np.complex128)
+    matrix[path, path] = np.exp(1j * phase)
     return matrix
 
 
 @dataclass(frozen=True)
-class LinearS:
-    """Unitary linear network on the signal paths."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _checked_unitary(self.matrix, "signal"))
-
-
-@dataclass(frozen=True)
-class LinearI:
-    """Unitary linear network on the idler paths."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _checked_unitary(self.matrix, "idler"))
-
-
-@dataclass(frozen=True)
 class _PhasePlate:
+    linear: ClassVar[type[_Linear]]
     path: int
     phase: float
 
@@ -82,49 +95,59 @@ class _PhasePlate:
 
 @dataclass(frozen=True)
 class PhaseS(_PhasePlate):
-    """Phase plate on one signal path."""
+    """Phase plate on one signal path; a circuit stores it as a diagonal ``LinearS``."""
+
+    linear = LinearS
 
 
 @dataclass(frozen=True)
 class PhaseI(_PhasePlate):
-    """Phase plate on one idler path."""
+    """Phase plate on one idler path; a circuit stores it as a diagonal ``LinearI``."""
+
+    linear = LinearI
 
 
-Element = Union[Pdc, LinearS, LinearI, PhaseS, PhaseI]
+Element = Union[Pdc, LinearS, LinearI]
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered multipath circuit; elements act first-to-last."""
+    """Ordered multipath circuit; elements act first-to-last.
+
+    Phase plates are stored as the diagonal linear networks they are, so
+    ``elements`` holds only ``Pdc``, ``LinearS`` and ``LinearI``.
+    """
 
     n_s_paths: int
     n_i_paths: int
     elements: tuple[Element, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
         if self.n_s_paths < 1 or self.n_i_paths < 1:
             raise ValueError("need at least one signal and one idler path")
+        paths = {"s": self.n_s_paths, "i": self.n_i_paths}
+
+        def check_path(pos: int, side: str, path: int) -> None:
+            if not 0 <= path < paths[side]:
+                raise ValueError(f"element {pos}: {_SIDE_NAMES[side]} path {path} out of range")
+
+        elements = []
         for pos, element in enumerate(self.elements):
             if isinstance(element, Pdc):
-                if not 0 <= element.s_path < self.n_s_paths:
-                    raise ValueError(f"element {pos}: signal path {element.s_path} out of range")
-                if not 0 <= element.i_path < self.n_i_paths:
-                    raise ValueError(f"element {pos}: idler path {element.i_path} out of range")
-            elif isinstance(element, LinearS):
-                if element.matrix.shape != (self.n_s_paths, self.n_s_paths):
-                    raise ValueError(f"element {pos}: signal matrix shape mismatch")
-            elif isinstance(element, LinearI):
-                if element.matrix.shape != (self.n_i_paths, self.n_i_paths):
-                    raise ValueError(f"element {pos}: idler matrix shape mismatch")
-            elif isinstance(element, PhaseS):
-                if not 0 <= element.path < self.n_s_paths:
-                    raise ValueError(f"element {pos}: signal path {element.path} out of range")
-            elif isinstance(element, PhaseI):
-                if not 0 <= element.path < self.n_i_paths:
-                    raise ValueError(f"element {pos}: idler path {element.path} out of range")
+                check_path(pos, "s", element.s_path)
+                check_path(pos, "i", element.i_path)
+            elif isinstance(element, _PhasePlate):
+                side = element.linear.side
+                check_path(pos, side, element.path)
+                element = element.linear(phase_matrix(element.path, element.phase, paths[side]))
+            elif isinstance(element, _Linear):
+                n = paths[element.side]
+                if element.matrix.shape != (n, n):
+                    raise ValueError(f"element {pos}: {_SIDE_NAMES[element.side]} matrix shape mismatch")
             else:
                 raise TypeError(f"element {pos}: unknown element {element!r}")
+            elements.append(element)
+        object.__setattr__(self, "elements", tuple(elements))
 
     @property
     def total_gain(self) -> float:
@@ -133,12 +156,6 @@ class Circuit:
     @property
     def pdc_count(self) -> int:
         return sum(1 for el in self.elements if isinstance(el, Pdc))
-
-
-def phase_matrix(path: int, phase: float, n_paths: int) -> np.ndarray:
-    matrix = np.eye(n_paths, dtype=np.complex128)
-    matrix[path, path] = np.exp(1j * phase)
-    return matrix
 
 
 @dataclass(frozen=True)
@@ -166,48 +183,27 @@ def _scattering_factors(circuit: Circuit) -> list[tuple[ScatteringMatrix, float 
     """
     n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
     factors: list[tuple[ScatteringMatrix, float | None]] = []
-    pending_s = np.eye(n_s, dtype=np.complex128)
-    pending_i = np.eye(n_i, dtype=np.complex128)
+    identity = {"s": np.eye(n_s, dtype=np.complex128), "i": np.eye(n_i, dtype=np.complex128)}
+    pending = dict(identity)
     dirty = False
 
     def flush():
-        nonlocal pending_s, pending_i, dirty
+        nonlocal pending, dirty
         if dirty:
-            factors.append(
-                (
-                    ScatteringMatrix(
-                        pending_s,
-                        np.zeros((n_s, n_i)),
-                        np.zeros((n_i, n_s)),
-                        pending_i.T,
-                    ),
-                    None,
-                )
-            )
-            pending_s = np.eye(n_s, dtype=np.complex128)
-            pending_i = np.eye(n_i, dtype=np.complex128)
+            blocks = (pending["s"], np.zeros((n_s, n_i)), np.zeros((n_i, n_s)), pending["i"].T)
+            factors.append((ScatteringMatrix(*blocks), None))
+            pending = dict(identity)
             dirty = False
 
     for element in circuit.elements:
-        if isinstance(element, Pdc):
-            if element.r == 0:
-                continue
+        if not isinstance(element, Pdc):
+            pending[element.side] = element.matrix @ pending[element.side]
+            dirty = True
+        elif element.r != 0:
             flush()
             factors.append(
                 (scatter.hypothetical_bs(element.r, element.s_path, element.i_path, n_s, n_i), element.r)
             )
-        elif isinstance(element, LinearS):
-            pending_s = element.matrix @ pending_s
-            dirty = True
-        elif isinstance(element, LinearI):
-            pending_i = element.matrix @ pending_i
-            dirty = True
-        elif isinstance(element, PhaseS):
-            pending_s = phase_matrix(element.path, element.phase, n_s) @ pending_s
-            dirty = True
-        elif isinstance(element, PhaseI):
-            pending_i = phase_matrix(element.path, element.phase, n_i) @ pending_i
-            dirty = True
     flush()
     return factors
 
@@ -245,18 +241,12 @@ def circuit_transfer(circuit: Circuit) -> TransferMatrix:
     total = TransferMatrix.identity(circuit.n_s_paths, circuit.n_i_paths)
     n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
     for element in circuit.elements:
-        if isinstance(element, Pdc):
-            if element.r == 0:
-                continue
+        if not isinstance(element, Pdc):
+            step = scatter.linear_transfer(element.matrix, element.side, n_s, n_i)
+        elif element.r != 0:
             step = scatter.bs_transfer(element.r, element.s_path, element.i_path, n_s, n_i)
-        elif isinstance(element, LinearS):
-            step = scatter.linear_transfer(element.matrix, "s", n_s, n_i)
-        elif isinstance(element, LinearI):
-            step = scatter.linear_transfer(element.matrix, "i", n_s, n_i)
-        elif isinstance(element, PhaseS):
-            step = scatter.linear_transfer(phase_matrix(element.path, element.phase, n_s), "s", n_s, n_i)
         else:
-            step = scatter.linear_transfer(phase_matrix(element.path, element.phase, n_i), "i", n_s, n_i)
+            continue
         total = step @ total
     return total
 

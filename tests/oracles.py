@@ -240,7 +240,7 @@ def skew_log(unitary: np.ndarray) -> np.ndarray:
 
 def nonlinear_operator(circuit, space) -> np.ndarray:
     """Dense truncated circuit operator: one dense expm per element generator."""
-    from ptrsim.ptr import LinearI, LinearS, Pdc, PhaseI, PhaseS
+    from ptrsim.ptr import LinearI, LinearS, Pdc
 
     n_s = space.n_s_paths
     n_modes = n_s + space.n_i_paths
@@ -249,10 +249,6 @@ def nonlinear_operator(circuit, space) -> np.ndarray:
         coeff = np.zeros((n_modes, n_modes), dtype=np.complex128)
         if isinstance(element, Pdc):
             gen = pdc_generator(space, element.s_path, element.i_path, element.r)
-        elif isinstance(element, (PhaseS, PhaseI)):
-            mode = element.path + (0 if isinstance(element, PhaseS) else n_s)
-            coeff[mode, mode] = 1j * element.phase
-            gen = number_generator(space, coeff)
         elif isinstance(element, LinearS):
             coeff[:n_s, :n_s] = skew_log(element.matrix)
             gen = number_generator(space, coeff)

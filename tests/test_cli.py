@@ -7,10 +7,14 @@ import re
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ptrsim import cli
 from ptrsim.errors import CircuitFormatError
-from ptrsim.ptr import build_ptr
+from ptrsim.ptr import Pdc, build_ptr
 from test_gaussian import high_gain_circuit
+from test_ptr import haar
 
 
 def sample_document() -> dict:
@@ -35,6 +39,43 @@ def circuit_file(tmp_path):
     path = tmp_path / "circuit.json"
     path.write_text(json.dumps(sample_document()))
     return str(path)
+
+
+def assert_same_circuit(first, second):
+    assert (first.n_s_paths, first.n_i_paths) == (second.n_s_paths, second.n_i_paths)
+    assert [type(el) for el in first.elements] == [type(el) for el in second.elements]
+    for a, b in zip(first.elements, second.elements):
+        assert a == b if isinstance(a, Pdc) else np.array_equal(a.matrix, b.matrix)
+    setup_a, setup_b = build_ptr(first), build_ptr(second)
+    assert np.array_equal(setup_a.scattering.full, setup_b.scattering.full)
+    assert setup_a.nc == setup_b.nc
+
+
+@st.composite
+def documents(draw):
+    n_s, n_i = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    elements = []
+    tags = st.sampled_from(["pdc", "linear_s", "linear_i", "phase_s", "phase_i"])
+    for tag in draw(st.lists(tags, max_size=6)):
+        if tag == "pdc":
+            s, i = draw(st.integers(0, n_s - 1)), draw(st.integers(0, n_i - 1))
+            elements.append({"type": tag, "s": s, "i": i, "r": draw(st.floats(0.0, 3.0))})
+        elif tag.startswith("linear"):
+            unitary = haar(n_s if tag == "linear_s" else n_i, draw(st.integers(0, 2**32 - 1)))
+            elements.append({"type": tag, "matrix": [[[z.real, z.imag] for z in row] for row in unitary]})
+        else:
+            path = draw(st.integers(0, (n_s if tag == "phase_s" else n_i) - 1))
+            elements.append({"type": tag, "path": path, "phi": draw(finite)})
+    return {"s_paths": n_s, "i_paths": n_i, "elements": elements}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(documents())
+def test_document_round_trip_property(document):
+    circuit = cli.parse_circuit(document)
+    reparsed = cli.parse_circuit(json.loads(json.dumps(cli.circuit_to_document(circuit))))
+    assert_same_circuit(circuit, reparsed)
 
 
 def test_parse_circuit_round_trip_is_lossless():
@@ -229,6 +270,47 @@ def test_linear_algebra_failure_exits_3(circuit_file, capsys, monkeypatch):
     monkeypatch.setattr(cli.gaussian, "q_duality_residual", singular)
     assert cli.main(["qfunc", "--circuit", circuit_file]) == 3
     assert "numerical failure: Singular matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ptr", "--circuit", "CIRCUIT", "--tol", "1"],
+        ["examples", "--seed", "3"],
+        ["teleport", "--tol", "1e-3"],
+        ["qfunc", "--circuit", "CIRCUIT", "--cutoff", "5"],
+        ["amp", "--circuit", "CIRCUIT", "--input", "1,0;0,1", "--output", "1,0;0,1", "--max-photons", "2"],
+        ["awp", "--cutoff", "3"],
+    ],
+)
+def test_commands_refuse_flags_they_do_not_read(circuit_file, capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([circuit_file if arg == "CIRCUIT" else arg for arg in argv])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def single_source_file(tmp_path, r: float) -> str:
+    path = tmp_path / "single_source.json"
+    source = {"type": "pdc", "s": 0, "i": 0, "r": r}
+    path.write_text(json.dumps({"s_paths": 1, "i_paths": 1, "elements": [source]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command", [["ptr"], ["qfunc"], ["amp", "--input", "0;0", "--output", "1;1"], ["verify"]]
+)
+def test_gain_overflow_is_a_numerical_failure(tmp_path, capsys, command):
+    # cosh(800) overflows a float
+    assert cli.main(command + ["--circuit", single_source_file(tmp_path, 800.0)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_indefinite_q_covariance_is_a_numerical_failure(tmp_path, capsys):
+    # at r = 30 the Q covariance rounds to singular in float64
+    assert cli.main(["qfunc", "--circuit", single_source_file(tmp_path, 30.0)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "not positive definite" in err
 
 
 def test_awp_command(capsys):

@@ -105,6 +105,13 @@ def test_phase_matrix_is_a_diagonal_phase():
     assert np.allclose(matrix, np.diag([1.0, np.exp(0.7j), 1.0]))
 
 
+def test_phase_plates_are_stored_as_diagonal_networks():
+    plate_s, plate_i = Circuit(2, 2, (PhaseS(1, 0.7), PhaseI(0, -1.2))).elements
+    assert type(plate_s) is LinearS and type(plate_i) is LinearI
+    assert np.array_equal(plate_s.matrix, np.diag([1, np.exp(0.7j)]))
+    assert np.array_equal(plate_i.matrix, np.diag([np.exp(-1.2j), 1]))
+
+
 def test_su11_expected_matches_built_network():
     r, phi_s, phi_i = 0.5, 0.9, -0.4
     setup = build_ptr(su11_circuit(r, phi_s, phi_i))
@@ -151,12 +158,16 @@ def test_looping_series_converges_only_well_inside_the_disk():
 
 
 def test_circuit_validation():
-    with pytest.raises(ValueError):
-        Circuit(1, 1, (Pdc(1, 0, 0.5),))
-    with pytest.raises(ValueError):
-        Circuit(1, 1, (PhaseI(2, 0.5),))
-    with pytest.raises(ValueError):
-        Circuit(2, 2, (LinearS(haar(3, 2)),))
+    for n_s, n_i, element, message in [
+        (1, 1, Pdc(1, 0, 0.5), "signal path 1 out of range"),
+        (1, 1, Pdc(0, 1, 0.5), "idler path 1 out of range"),
+        (1, 1, PhaseS(-1, 0.5), "signal path -1 out of range"),
+        (1, 1, PhaseI(2, 0.5), "idler path 2 out of range"),
+        (2, 2, LinearS(haar(3, 2)), "signal matrix shape mismatch"),
+        (2, 1, LinearI(haar(2, 2)), "idler matrix shape mismatch"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Circuit(n_s, n_i, (element,))
     circuit = Circuit(1, 1, (Pdc(0, 0, 0.5), Pdc(0, 0, 0.25)))
     assert circuit.pdc_count == 2
     assert np.isclose(circuit.total_gain, 0.75)
