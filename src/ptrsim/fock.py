@@ -10,13 +10,14 @@ Every element acts block-diagonally on the truncated basis, and
 :func:`apply_circuit` applies it block by block:
 
 * a pair source on paths (s, i) moves photons along ladders of fixed n_s - n_i
-  and fixed other paths; each distinct (|n_s - n_i|, length, gain) ladder is
-  one small dense ``expm`` of its tridiagonal generator, cut at the cap.
+  and fixed other paths, cut at the cap.  The ladder generator does not
+  depend on the gain, so one cached eigendecomposition per (|n_s - n_i|,
+  length) gives the exponential at every gain; it acts in factored form.
 * a one-sided linear network conserves the photon number k on its side; one
   k-photon block (exp of its lifted Hermitian log) serves every other side.
 * a diagonal network (a phase plate) multiplies each state by a phase.
 
-Blocks act by gather, one matrix product and scatter.  Truncation is
+Blocks act by gather, matrix products and scatter.  Truncation is
 validated, never assumed: callers get a measured norm defect and a hard
 error once it crosses the configured leak tolerance.
 """
@@ -31,7 +32,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm, schur
+from scipy.linalg import eigh_tridiagonal, schur
 
 from .errors import DimensionOverflowError, TruncationLeakError
 
@@ -357,15 +358,39 @@ def auto_photon_cap(requested_photons: int, total_gain: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ladder_exp(diff: int, length: int, r: float) -> np.ndarray:
-    """exp[r(a+_s a+_i - a_s a_i)] on one ladder of ``length`` rungs, cut at the top.
+#: i^j for j mod 4: the diagonal that turns a ladder generator into a real symmetric one.
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
-    Rung j holds (diff + j, j) photons on the pair (either order), so the
-    step up from rung j - 1 has matrix element sqrt(j (j + diff)).
+
+@lru_cache(maxsize=128)
+def _ladder_modes(diff: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvector columns of the ladder matrix S, read-only.
+
+    S is real symmetric tridiagonal with S[j, j-1] = S[j-1, j] =
+    sqrt(j (j + diff)): rung j of a ladder of ``length`` rungs, cut at the
+    top, holds (diff + j, j) photons on the pair (either order).
     """
     rung = np.arange(1, length)
-    up = r * np.sqrt(rung * (rung + diff))
-    return expm(np.diag(up, -1) - np.diag(up, 1))
+    values, vectors = eigh_tridiagonal(np.zeros(length), np.sqrt(rung * (rung + diff)))
+    values.setflags(write=False)  # cached and shared
+    vectors.setflags(write=False)
+    return values, vectors
+
+
+def _apply_ladders(block: np.ndarray, idx: np.ndarray, diff: int, r: float) -> None:
+    """block[idx] <- exp[r(a+_s a+_i - a_s a_i)] block[idx] on every ladder (column) of ``idx``.
+
+    On a ladder the generator J is real antisymmetric tridiagonal with
+    J[j, j-1] = -J[j-1, j] = S[j, j-1]; with D = diag(i^j), D^-1 J D = -i S,
+    so exp(rJ) = D Q exp(-i r Lambda) Q^T D^-1 for S = Q Lambda Q^T.  The real Q
+    acts on the real and imaginary parts in one real matrix product.
+    """
+    values, vectors = _ladder_modes(diff, len(idx))
+    turns = _QUARTER_TURNS[np.arange(len(idx)) % 4, None]
+    rows = block[idx]
+    modes = vectors.T @ (rows.reshape(len(idx), -1) * turns.conj()).view(np.float64)
+    modes = modes.view(np.complex128) * np.exp(-1j * r * values)[:, None]
+    block[idx] = ((vectors @ modes.view(np.float64)).view(np.complex128) * turns).reshape(rows.shape)
 
 
 def _hermitian_log(unitary: np.ndarray) -> np.ndarray:
@@ -415,7 +440,7 @@ def _apply_element(space: FockSpace, element, block: np.ndarray) -> None:
     n_s, n_modes = space.n_s_paths, space.n_s_paths + space.n_i_paths
     if isinstance(element, ptr.Pdc):
         for diff, idx in space._ladders(element.s_path, element.i_path):
-            _apply_block(block, idx, _ladder_exp(diff, len(idx), element.r))
+            _apply_ladders(block, idx, diff, element.r)
         return
     lo, hi = (0, n_s) if element.side == "s" else (n_s, n_modes)
     _apply_unitary(space, lo, hi, element.matrix, block)

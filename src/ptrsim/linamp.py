@@ -170,6 +170,15 @@ def _occupations(n_s: int, n_i: int, budget: int) -> list[OccupationVector]:
     ]
 
 
+def _basis_rows(space: fock.FockSpace, occupations: Sequence[OccupationVector]) -> np.ndarray:
+    """Basis index of every occupation; all must lie inside the truncated basis."""
+    rows = space.indices([occ.key() for occ in occupations])
+    missing = np.flatnonzero(rows < 0)
+    if missing.size:
+        raise ValueError(f"{occupations[missing[0]]} is not in this truncated basis")
+    return rows
+
+
 def verify_duality(
     circuit: Circuit,
     photon_budget: int,
@@ -199,11 +208,12 @@ def verify_duality(
     setup = ptr.build_ptr(circuit)
     n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
     occupations = _occupations(n_s, n_i, photon_budget)
+    differences = [occ.difference for occ in occupations]
     pairs = [
         (occ_in, occ_out)
-        for occ_in in occupations
-        for occ_out in occupations
-        if occ_in.difference == occ_out.difference
+        for occ_in, d_in in zip(occupations, differences)
+        for occ_out, d_out in zip(occupations, differences)
+        if d_in == d_out
     ]
     if sample_count is not None and sample_count < len(pairs):
         rng = np.random.default_rng(seed)
@@ -213,26 +223,24 @@ def verify_duality(
         photon_cap = fock.auto_photon_cap(photon_budget, circuit.total_gain)
 
     # one batched evolution per difference sector
-    nonlinear: dict[tuple[OccupationVector, OccupationVector], complex] = {}
-    deltas = sorted({occ_in.difference for occ_in, _ in pairs})
-    for delta in deltas:
-        sector_pairs = [(a, b) for a, b in pairs if a.difference == delta]
-        sector_inputs = sorted({a for a, _ in sector_pairs}, key=OccupationVector.key)
+    sectors: dict[int, list[int]] = {}
+    for k, (occ_in, _) in enumerate(pairs):
+        sectors.setdefault(occ_in.difference, []).append(k)
+    nonlinear = np.empty(len(pairs), dtype=np.complex128)
+    for delta in sorted(sectors):
+        members = sectors[delta]
+        sector_inputs = sorted({pairs[k][0] for k in members}, key=OccupationVector.key)
+        col_of = {occ: col for col, occ in enumerate(sector_inputs)}
         space = fock.enumerate_basis(n_s, n_i, photon_cap, delta=delta, dim_limit=dim_limit)
+        in_rows = _basis_rows(space, sector_inputs)
         block = np.zeros((space.dimension, len(sector_inputs)), dtype=np.complex128)
-        col_of = {}
-        for col, occ in enumerate(sector_inputs):
-            block[space.index(occ), col] = 1.0
-            col_of[occ] = col
+        block[in_rows, np.arange(len(sector_inputs))] = 1.0
         evolved = fock.apply_circuit(circuit, space, block, leak_tol=leak_tol)
-        for occ_in, occ_out in sector_pairs:
-            nonlinear[(occ_in, occ_out)] = complex(
-                evolved[space.index(occ_out), col_of[occ_in]]
-            )
+        out_rows = _basis_rows(space, [pairs[k][1] for k in members])
+        nonlinear[members] = evolved[out_rows, [col_of[pairs[k][0]] for k in members]]
 
     comparisons = []
-    for occ_in, occ_out in pairs:
-        brute = nonlinear[(occ_in, occ_out)]
+    for (occ_in, occ_out), brute in zip(pairs, nonlinear.tolist()):
         dual = ptr_postselection_amplitude(setup, occ_in, occ_out)
         abs_res = abs(brute - dual)
         denom = max(abs(brute), abs(dual))

@@ -98,15 +98,17 @@ def star(first: ScatteringMatrix, second: ScatteringMatrix) -> ScatteringMatrix:
     """
     if first.n_s != second.n_s or first.n_i != second.n_i:
         raise ValueError("path counts disagree")
-    eye_s = np.eye(first.n_s, dtype=np.complex128)
-    eye_i = np.eye(first.n_i, dtype=np.complex128)
-    loop_s = eye_s - first.si @ second.is_
-    loop_i = eye_i - second.is_ @ first.si
-    ss = second.ss @ _solve(loop_s, first.ss, "signal-side cavity loop")
-    si = second.si + second.ss @ _solve(loop_s, first.si @ second.ii, "signal-side cavity loop")
-    is_ = first.is_ + first.ii @ _solve(loop_i, second.is_ @ first.ss, "idler-side cavity loop")
-    ii = first.ii @ _solve(loop_i, second.ii, "idler-side cavity loop")
-    return ScatteringMatrix(ss, si, is_, ii)
+    n_s = first.n_s
+    loop_s = np.eye(n_s, dtype=np.complex128) - first.si @ second.is_
+    loop_i = np.eye(first.n_i, dtype=np.complex128) - second.is_ @ first.si
+    # each loop is solved once, for both right-hand sides side by side
+    rhs_s = np.concatenate((first.ss, first.si @ second.ii), 1)
+    through_s = second.ss @ _solve(loop_s, rhs_s, "signal-side cavity loop")
+    rhs_i = np.concatenate((second.is_ @ first.ss, second.ii), 1)
+    through_i = first.ii @ _solve(loop_i, rhs_i, "idler-side cavity loop")
+    return ScatteringMatrix(
+        through_s[:, :n_s], second.si + through_s[:, n_s:], first.is_ + through_i[:, :n_s], through_i[:, n_s:]
+    )
 
 
 def hypothetical_bs(r: float, s_path: int, i_path: int, n_s: int, n_i: int) -> ScatteringMatrix:
@@ -126,30 +128,6 @@ def hypothetical_bs(r: float, s_path: int, i_path: int, n_s: int, n_i: int) -> S
     si[s_path, i_path] = refl
     is_[i_path, s_path] = -refl
     return ScatteringMatrix(ss, si, is_, ii)
-
-
-def embed_linear(unitary: np.ndarray, side: str, n_s: int, n_i: int) -> ScatteringMatrix:
-    """Embed a one-sided linear network; idler-side networks enter transposed."""
-    unitary = _block(unitary)
-    if side == "s":
-        if unitary.shape != (n_s, n_s):
-            raise ValueError("signal-side unitary has the wrong shape")
-        return ScatteringMatrix(
-            unitary,
-            np.zeros((n_s, n_i)),
-            np.zeros((n_i, n_s)),
-            np.eye(n_i),
-        )
-    if side == "i":
-        if unitary.shape != (n_i, n_i):
-            raise ValueError("idler-side unitary has the wrong shape")
-        return ScatteringMatrix(
-            np.eye(n_s),
-            np.zeros((n_s, n_i)),
-            np.zeros((n_i, n_s)),
-            unitary.T,
-        )
-    raise ValueError("side must be 's' or 'i'")
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +179,12 @@ class TransferMatrix:
         return TransferMatrix(prod[:n_s, :n_s], prod[:n_s, n_s:], prod[n_s:, :n_s], prod[n_s:, n_s:])
 
 
-def _swap_blocks(ss, si, is_, ii, what: str):
-    """Shared Moebius-style reblocking used by both conversion directions."""
-    ii_inv = _solve(ii, np.eye(ii.shape[0], dtype=np.complex128), what)
-    return (ss - si @ ii_inv @ is_, si @ ii_inv, -ii_inv @ is_, ii_inv)
-
-
 def scattering_to_transfer(matrix: ScatteringMatrix) -> TransferMatrix:
-    return TransferMatrix(*_swap_blocks(matrix.ss, matrix.si, matrix.is_, matrix.ii, "scattering ii block"))
-
-
-def transfer_to_scattering(matrix: TransferMatrix) -> ScatteringMatrix:
-    return ScatteringMatrix(*_swap_blocks(matrix.ss, matrix.si, matrix.is_, matrix.ii, "transfer ii block"))
+    """Reblock (signal, idler) in -> out as (signal in, idler out) -> (signal out, idler in)."""
+    ii_inv = _solve(matrix.ii, np.eye(matrix.n_i, dtype=np.complex128), "scattering ii block")
+    return TransferMatrix(
+        matrix.ss - matrix.si @ ii_inv @ matrix.is_, matrix.si @ ii_inv, -ii_inv @ matrix.is_, ii_inv
+    )
 
 
 def bs_transfer(r: float, s_path: int, i_path: int, n_s: int, n_i: int) -> TransferMatrix:

@@ -2,9 +2,10 @@
 
 Everything here is built directly on dense Kronecker-product ladder
 operators and brute-force enumeration, deliberately sharing no code with
-the package under test.  The sparse-generator oracles at the end borrow
-only the package's basis order, so their matrices can be compared with
-its evolved columns entry by entry.
+the package under test.  The sparse-generator oracles borrow only the
+package's basis order, so their matrices can be compared with its evolved
+columns entry by entry; the scattering helpers at the end borrow only its
+block container.
 """
 
 from __future__ import annotations
@@ -62,6 +63,20 @@ def _two_mode_squeeze_matrix(r: float, cutoff: int) -> np.ndarray:
     a = lowering(cutoff)
     pair = np.kron(a.conj().T, a.conj().T) - np.kron(a, a)
     return scipy.linalg.expm(r * pair)
+
+
+def ladder_exp(diff: int, length: int, r: float) -> np.ndarray:
+    """exp[r(a+_s a+_i - a_s a_i)] on one pair-source ladder of ``length`` rungs, cut at the top.
+
+    Rung j holds (diff + j, j) photons on the pair, so the step up from rung
+    j - 1 has matrix element sqrt(j (j + diff)).  The dense generator is
+    exponentiated as a complex matrix: against a 40-digit exponential,
+    scipy's ``expm`` was measured 1.6e-12 off on the real matrix and 6e-15
+    off on the complex one (diff 1, 53 rungs, r = 2.8).
+    """
+    rung = np.arange(1, length)
+    up = r * np.sqrt(rung * (rung + diff))
+    return scipy.linalg.expm((np.diag(up, -1) - np.diag(up, 1)).astype(np.complex128))
 
 
 def two_mode_squeeze_amplitude(
@@ -258,3 +273,36 @@ def nonlinear_operator(circuit, space) -> np.ndarray:
             gen = number_generator(space, coeff)
         op = scipy.linalg.expm(gen.toarray()) @ op
     return op
+
+
+# ---------------------------------------------------------------------------
+# scattering helpers
+#
+# Test-only constructions around the package's scattering matrices: they
+# share the block container (``ScatteringMatrix``) and nothing else.
+# ---------------------------------------------------------------------------
+
+
+def embed_linear(unitary: np.ndarray, side: str, n_s: int, n_i: int):
+    """Scattering matrix of a one-sided linear network; idler-side networks enter transposed."""
+    from ptrsim.scatter import ScatteringMatrix
+
+    unitary = np.asarray(unitary, dtype=np.complex128)
+    ss, ii = np.eye(n_s), np.eye(n_i)
+    if side == "s":
+        ss = unitary
+    elif side == "i":
+        ii = unitary.T
+    else:
+        raise ValueError("side must be 's' or 'i'")
+    return ScatteringMatrix(ss, np.zeros((n_s, n_i)), np.zeros((n_i, n_s)), ii)
+
+
+def transfer_to_scattering(matrix):
+    """Scattering matrix of a transfer matrix: the inverse reblocking, by explicit inverse."""
+    from ptrsim.scatter import ScatteringMatrix
+
+    ii_inv = np.linalg.inv(matrix.ii)
+    return ScatteringMatrix(
+        matrix.ss - matrix.si @ ii_inv @ matrix.is_, matrix.si @ ii_inv, -ii_inv @ matrix.is_, ii_inv
+    )

@@ -93,6 +93,48 @@ def test_engine_matches_oracle_where_ladders_are_cut(circuit, cap, delta):
     assert np.max(np.sum(np.abs(got[top]) ** 2, axis=0)) > 0.1
 
 
+def ladder_block(diff: int, length: int, r: float) -> np.ndarray:
+    """The engine's pair-source block on one ladder, applied to the identity."""
+    block = np.eye(length, dtype=np.complex128)
+    fock._apply_ladders(block, np.arange(length)[:, None], diff, r)
+    return block
+
+
+#: gains of the ladder sweep; length L takes GAINS[(L + 2) % 6], so every
+#: gain meets lengths up to 81 and the longest ladder takes the largest gain
+GAINS = (0.05, 0.4, 1.0, 1.7, 2.3, 3.0)
+
+
+@pytest.mark.parametrize("diff", range(7))
+def test_ladder_block_matches_dense_expm(diff):
+    for length in range(1, 82):
+        eye = np.eye(length)
+        r = GAINS[(length + 2) % len(GAINS)]
+        got = ladder_block(diff, length, r)
+        assert np.max(np.abs(got - oracles.ladder_exp(diff, length, r))) <= 1e-12, (length, r)
+        assert np.max(np.abs(got.conj().T @ got - eye)) <= 1e-13, (length, r)
+        assert np.max(np.abs(ladder_block(diff, length, 0.0) - eye)) <= 1e-13, length
+
+
+def test_ladder_block_acts_on_every_ladder_and_column():
+    rng = np.random.default_rng(11)
+    block = rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3))
+    idx = rng.permutation(60)[:45].reshape(9, 5)  # 5 ladders of 9 rungs, scattered rows
+    expected = block.copy()
+    expected[idx] = np.einsum("jk,kgc->jgc", oracles.ladder_exp(3, 9, 1.2), block[idx])
+    fock._apply_ladders(block, idx, 3, 1.2)
+    assert np.max(np.abs(block - expected)) <= 1e-13
+
+
+def test_ladder_modes_are_cached_read_only():
+    values, vectors = fock._ladder_modes(4, 12)
+    assert fock._ladder_modes(4, 12)[1] is vectors
+    assert values.dtype == vectors.dtype == np.float64
+    for array in (values, vectors):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 def test_leak_guard_regression():
     # two cascaded sources and a signal splitter from vacuum leave 5e-3 of
     # the weight within two photons of cap 6, and 1e-7 near cap 20

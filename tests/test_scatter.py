@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ptrsim import scatter
 from ptrsim.errors import SingularCavityError
 from ptrsim.ptr import Circuit, LinearI, LinearS, Pdc, PhaseS, circuit_transfer
@@ -26,9 +29,9 @@ def random_scatterings(seed: int, count: int, n_s: int = 2, n_i: int = 2):
         if choice == 0:
             out.append(scatter.hypothetical_bs(rng.uniform(0.2, 1.0), rng.integers(n_s), rng.integers(n_i), n_s, n_i))
         elif choice == 1:
-            out.append(scatter.embed_linear(haar(n_s, seed + 100 + k), "s", n_s, n_i))
+            out.append(oracles.embed_linear(haar(n_s, seed + 100 + k), "s", n_s, n_i))
         else:
-            out.append(scatter.embed_linear(haar(n_i, seed + 200 + k), "i", n_s, n_i))
+            out.append(oracles.embed_linear(haar(n_i, seed + 200 + k), "i", n_s, n_i))
     return out
 
 
@@ -58,6 +61,49 @@ def test_star_is_associative(seed):
     assert np.allclose(left.full, right.full, atol=1e-12)
 
 
+@st.composite
+def scattering_layers(draw, n_s: int, n_i: int):
+    """One pair source (beamsplitter stand-in) or one Haar network on either side."""
+    kind = draw(st.sampled_from(["pdc", "s", "i"]))
+    if kind == "pdc":
+        r = draw(st.floats(0.0, 1.5))
+        s_path, i_path = draw(st.integers(0, n_s - 1)), draw(st.integers(0, n_i - 1))
+        return scatter.hypothetical_bs(r, s_path, i_path, n_s, n_i)
+    dim = n_s if kind == "s" else n_i
+    return oracles.embed_linear(haar(dim, draw(st.integers(0, 2**32 - 1))), kind, n_s, n_i)
+
+
+@st.composite
+def three_devices(draw):
+    """Three devices, each the star product of one to three random layers."""
+    n_s, n_i = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    devices = []
+    for _ in range(3):
+        layers = draw(st.lists(scattering_layers(n_s, n_i), min_size=1, max_size=3))
+        device = layers[0]
+        for layer in layers[1:]:
+            device = scatter.star(device, layer)
+        devices.append(device)
+    return devices
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(three_devices())
+def test_star_is_associative_property(devices):
+    a, b, c = devices
+    left = scatter.star(scatter.star(a, b), c)
+    right = scatter.star(a, scatter.star(b, c))
+    assert np.max(np.abs(left.full - right.full)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(three_devices())
+def test_scattering_transfer_round_trip_property(devices):
+    combined = scatter.star(scatter.star(*devices[:2]), devices[2])
+    back = oracles.transfer_to_scattering(scatter.scattering_to_transfer(combined))
+    assert np.max(np.abs(back.full - combined.full)) <= 1e-12
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_star_preserves_unitarity(seed):
     a, b, c = random_scatterings(seed, 3)
@@ -79,10 +125,10 @@ def test_hypothetical_bs_blocks():
 
 def test_embed_linear_transposes_idler_side():
     unitary = haar(2, 9)
-    embedded = scatter.embed_linear(unitary, "i", 1, 2)
+    embedded = oracles.embed_linear(unitary, "i", 1, 2)
     assert np.allclose(embedded.ii, unitary.T)
     assert np.allclose(embedded.ss, np.eye(1))
-    embedded_s = scatter.embed_linear(unitary, "s", 2, 1)
+    embedded_s = oracles.embed_linear(unitary, "s", 2, 1)
     assert np.allclose(embedded_s.ss, unitary)
 
 
@@ -99,7 +145,7 @@ def test_scattering_transfer_round_trip(seed):
     a, b, c = random_scatterings(seed, 3)
     combined = scatter.star(scatter.star(a, b), c)
     transfer = scatter.scattering_to_transfer(combined)
-    back = scatter.transfer_to_scattering(transfer)
+    back = oracles.transfer_to_scattering(transfer)
     assert np.allclose(back.full, combined.full, atol=1e-13)
 
 
@@ -124,7 +170,7 @@ def test_bs_transfer_matches_scattering_conversion():
 def test_linear_transfer_conjugates_idler_side():
     unitary = haar(2, 21)
     direct = scatter.linear_transfer(unitary, "i", 1, 2)
-    via = scatter.scattering_to_transfer(scatter.embed_linear(unitary, "i", 1, 2))
+    via = scatter.scattering_to_transfer(oracles.embed_linear(unitary, "i", 1, 2))
     assert np.allclose(direct.full, via.full, atol=1e-14)
     assert np.allclose(direct.ii, unitary.conj())
 
