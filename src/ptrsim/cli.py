@@ -14,6 +14,7 @@ import cmath
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -167,6 +168,16 @@ def _load_circuit(path: str) -> Circuit:
 # ---------------------------------------------------------------------------
 # argument helpers
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    """Argument type of counts that must be at least one."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _parse_occupation(text: str, n_s: int, n_i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -414,9 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = parsers["amp"]
     p.add_argument("--input", required=True, help="input occupation 's0,s1;i0'")
     p.add_argument("--output", required=True, help="output occupation 's0,s1;i0'")
-    parsers["verify"].add_argument("--samples", type=int, default=None, help="subsample this many pairs")
+    parsers["verify"].add_argument(
+        "--samples", type=_positive_int, default=None, help="subsample this many pairs"
+    )
     p = parsers["qfunc"]
-    p.add_argument("--points", type=int, default=50, help="number of random probe points")
+    p.add_argument("--points", type=_positive_int, default=50, help="number of random probe points")
     p.add_argument("--alpha-s", default=None, help="input signal coherent amplitudes, comma separated")
     p.add_argument("--alpha-i", default=None, help="input idler coherent amplitudes")
     p.add_argument("--beta-s", default=None, help="probe signal coherent amplitudes")
@@ -457,10 +470,12 @@ def dispatch(args: argparse.Namespace) -> int:
     return code
 
 
+#: the parser of :func:`main`, built on first use; parsing leaves it unchanged
+_shared_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return dispatch(args)
+    return dispatch(_shared_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

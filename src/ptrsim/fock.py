@@ -20,6 +20,17 @@ Every element acts block-diagonally on the truncated basis, and
 Blocks act by gather, matrix products and scatter.  Truncation is
 validated, never assumed: callers get a measured norm defect and a hard
 error once it crosses the configured leak tolerance.
+
+Sector spaces are shared within a process.  :func:`sector_space` keeps the
+``SECTOR_CACHE_SIZE`` (32) most recently used spaces, keyed by (signal
+paths, idler paths, cap, delta), which is all a space depends on; so
+circuits of one shape and cap reuse its rows, ranks and the ladder,
+number-block and occupation plans it builds on first use.  The verifier and
+:func:`nonlinear_postselection_amplitude` take their spaces from it, while
+:class:`FockSpace` and :func:`enumerate_basis` build a new one per call.
+Every array of a space and of its plans is read-only: the next caller
+evolves on the same object, so a write would change its results.  The
+dimension limit is checked on every call, cached or not.
 """
 
 from __future__ import annotations
@@ -156,6 +167,7 @@ def _lex_rank(counts: np.ndarray, cap: int) -> np.ndarray:
     return (table[budget, after] - table[budget - counts, after]).sum(axis=1)
 
 
+@lru_cache(maxsize=256)
 def _sector_dimension(n_s: int, n_i: int, cap: int, delta: int | None) -> int:
     if delta is None:
         return math.comb(cap + n_s + n_i, n_s + n_i)
@@ -193,6 +205,29 @@ def _sector_rows(n_s: int, n_i: int, cap: int, delta: int) -> np.ndarray:
     return np.hstack((np.repeat(s_rows, size, axis=0), i_rows[np.repeat(first[need], size) + within]))
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only because it is cached or shared."""
+    array.setflags(write=False)
+    return array
+
+
+def _checked_dimension(n_s: int, n_i: int, cap: int, delta: int | None, dim_limit: int) -> int:
+    """Dimension of the (sector) basis; raises if it is invalid or above ``dim_limit``."""
+    if n_s < 1 or n_i < 1:
+        raise ValueError("need at least one signal and one idler path")
+    if cap < 0:
+        raise ValueError("photon cap must be nonnegative")
+    if math.comb(cap + n_s + n_i, n_s + n_i) >= 2**63:
+        raise DimensionOverflowError("states of this cap and path count do not rank in 64 bits")
+    expected = _sector_dimension(n_s, n_i, cap, delta)
+    if expected > dim_limit:
+        raise DimensionOverflowError(
+            f"basis of {expected} states exceeds the limit of {dim_limit}; "
+            "lower the cap, restrict to a difference sector, or raise dim_limit"
+        )
+    return expected
+
+
 class FockSpace:
     """Bijection between occupation vectors under a global photon cap and indices.
 
@@ -215,30 +250,21 @@ class FockSpace:
         delta: int | None = None,
         dim_limit: int = DEFAULT_DIM_LIMIT,
     ) -> None:
-        if n_s_paths < 1 or n_i_paths < 1:
-            raise ValueError("need at least one signal and one idler path")
-        if photon_cap < 0:
-            raise ValueError("photon cap must be nonnegative")
-        n_modes = n_s_paths + n_i_paths
-        if math.comb(photon_cap + n_modes, n_modes) >= 2**63:
-            raise DimensionOverflowError("states of this cap and path count do not rank in 64 bits")
-        expected = _sector_dimension(n_s_paths, n_i_paths, photon_cap, delta)
-        if expected > dim_limit:
-            raise DimensionOverflowError(
-                f"basis of {expected} states exceeds the limit of {dim_limit}; "
-                "lower the cap, restrict to a difference sector, or raise dim_limit"
-            )
+        expected = _checked_dimension(n_s_paths, n_i_paths, photon_cap, delta, dim_limit)
         self.n_s_paths = n_s_paths
         self.n_i_paths = n_i_paths
         self.photon_cap = photon_cap
         self.delta = delta
         if delta is None:
-            self.counts = np.ascontiguousarray(_compositions(n_modes + 1, photon_cap)[:, :n_modes])
+            n_modes = n_s_paths + n_i_paths
+            counts = np.ascontiguousarray(_compositions(n_modes + 1, photon_cap)[:, :n_modes])
         else:
-            self.counts = _sector_rows(n_s_paths, n_i_paths, photon_cap, delta)
-        self.totals = self.counts.sum(axis=1)
-        self._codes = _lex_rank(self.counts, photon_cap)  # increasing: the rows are lexicographic
-        self._plans: dict[tuple, list] = {}
+            counts = _sector_rows(n_s_paths, n_i_paths, photon_cap, delta)
+        # read-only like every plan below: a space may be shared, see sector_space
+        self.counts = _frozen(counts)
+        self.totals = _frozen(counts.sum(axis=1))
+        self._codes = _frozen(_lex_rank(counts, photon_cap))  # increasing: the rows are lexicographic
+        self._plans: dict[tuple, object] = {}
         assert len(self.counts) == expected
 
     @property
@@ -297,7 +323,7 @@ class FockSpace:
             if length > 1:
                 group = self.counts[feet[(diff == d) & (rungs == length)]]
                 ladder = group + np.arange(length)[:, None, None] * step
-                plan.append((d, self.indices(ladder).reshape(length, len(group))))
+                plan.append((d, _frozen(self.indices(ladder).reshape(length, len(group)))))
         return plan
 
     def _number_blocks(self, lo: int, hi: int) -> list[tuple[int, np.ndarray]]:
@@ -322,8 +348,15 @@ class FockSpace:
             states = np.empty((len(patterns), len(others), n_modes), dtype=np.int64)
             states[:, :, lo:hi] = patterns[:, None, :]
             states[:, :, rest] = others[None, :, :]
-            plan.append((k, self.indices(states).reshape(states.shape[:2])))
+            plan.append((k, _frozen(self.indices(states).reshape(states.shape[:2]))))
         return plan
+
+    def _occupations(self, lo: int, hi: int) -> np.ndarray:
+        """Photon counts of the modes ``lo:hi`` as a contiguous float array, one row per state."""
+        key = ("occupation", lo, hi)
+        if key not in self._plans:
+            self._plans[key] = _frozen(np.ascontiguousarray(self.counts[:, lo:hi], dtype=np.float64))
+        return self._plans[key]
 
 
 def enumerate_basis(
@@ -333,8 +366,40 @@ def enumerate_basis(
     delta: int | None = None,
     dim_limit: int = DEFAULT_DIM_LIMIT,
 ) -> FockSpace:
-    """Build the truncated basis; see :class:`FockSpace`."""
+    """Build a new truncated basis on every call; see :class:`FockSpace`.
+
+    Deliberately uncached, so the caller owns the result; the evolution
+    entry points share read-only spaces through :func:`sector_space`.
+    """
     return FockSpace(n_s_paths, n_i_paths, photon_cap, delta=delta, dim_limit=dim_limit)
+
+
+#: sector spaces kept by :func:`sector_space`, least recently used dropped first.
+SECTOR_CACHE_SIZE = 32
+
+
+def sector_space(
+    n_s_paths: int,
+    n_i_paths: int,
+    photon_cap: int,
+    delta: int | None,
+    dim_limit: int = DEFAULT_DIM_LIMIT,
+) -> FockSpace:
+    """Shared read-only :class:`FockSpace`, built once per (paths, cap, delta).
+
+    ``dim_limit`` is checked on every call, cached or not.  The space and
+    the plans it accumulates are shared by every later caller with the same
+    key, so none of its arrays may be written.
+    """
+    _checked_dimension(n_s_paths, n_i_paths, photon_cap, delta, dim_limit)
+    return _cached_sector_space(n_s_paths, n_i_paths, photon_cap, delta)
+
+
+@lru_cache(maxsize=SECTOR_CACHE_SIZE)
+def _cached_sector_space(
+    n_s_paths: int, n_i_paths: int, photon_cap: int, delta: int | None
+) -> FockSpace:
+    return FockSpace(n_s_paths, n_i_paths, photon_cap, delta=delta, dim_limit=math.inf)
 
 
 def auto_photon_cap(requested_photons: int, total_gain: float) -> int:
@@ -372,9 +437,7 @@ def _ladder_modes(diff: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """
     rung = np.arange(1, length)
     values, vectors = eigh_tridiagonal(np.zeros(length), np.sqrt(rung * (rung + diff)))
-    values.setflags(write=False)  # cached and shared
-    vectors.setflags(write=False)
-    return values, vectors
+    return _frozen(values), _frozen(vectors)
 
 
 def _apply_ladders(block: np.ndarray, idx: np.ndarray, diff: int, r: float) -> None:
@@ -403,17 +466,29 @@ def _hermitian_log(unitary: np.ndarray) -> np.ndarray:
     return (vectors * np.angle(np.diagonal(diagonal))) @ vectors.conj().T
 
 
-def _lifted_exp(generator: np.ndarray, photons: int) -> np.ndarray:
-    """k-photon block of exp(i sum_jl H_jl a+_j a_l), patterns as in :func:`_compositions`."""
-    n_modes = len(generator)
+@lru_cache(maxsize=128)
+def _hops(n_modes: int, photons: int) -> tuple[np.ndarray, ...]:
+    """One-body hops a+_j a_l (j != l) among the k-photon patterns, read-only.
+
+    Returns the float patterns of :func:`_compositions` and, per hop, the
+    source pattern p, the modes j and l, the destination pattern and the
+    matrix element sqrt(p_l (p_j + 1)).
+    """
     patterns = _compositions(n_modes, photons)
     eye = np.eye(n_modes, dtype=np.int64)
     # a+_j a_l takes pattern p to p + e_j - e_l, for j != l and p_l > 0
     p, j, l = np.nonzero((patterns[:, None, :] > 0) & (eye == 0))
     hopped = patterns[p] + eye[j] - eye[l]
     dst = np.searchsorted(_lex_rank(patterns, photons), _lex_rank(hopped, photons))
+    factors = np.sqrt(patterns[p, l] * (patterns[p, j] + 1.0))
+    return tuple(_frozen(a) for a in (patterns.astype(np.float64), p, j, l, dst, factors))
+
+
+def _lifted_exp(generator: np.ndarray, photons: int) -> np.ndarray:
+    """k-photon block of exp(i sum_jl H_jl a+_j a_l), patterns as in :func:`_compositions`."""
+    patterns, p, j, l, dst, factors = _hops(len(generator), photons)
     lifted = np.diag((patterns @ np.diagonal(generator)).astype(np.complex128))
-    lifted[dst, p] = generator[j, l] * np.sqrt(patterns[p, l] * (patterns[p, j] + 1.0))
+    lifted[dst, p] = generator[j, l] * factors
     values, vectors = np.linalg.eigh(lifted)
     return (vectors * np.exp(1j * values)) @ vectors.conj().T
 
@@ -426,8 +501,9 @@ def _apply_block(block: np.ndarray, idx: np.ndarray, matrix: np.ndarray) -> None
 
 def _apply_unitary(space: FockSpace, lo: int, hi: int, matrix: np.ndarray, block: np.ndarray) -> None:
     """Lifted action of the unitary ``matrix`` on the modes ``lo:hi``."""
-    if not np.any(matrix[~np.eye(len(matrix), dtype=bool)]):  # diagonal: a phase per state
-        block *= np.exp(1j * (space.counts[:, lo:hi] @ np.angle(np.diagonal(matrix))))[:, None]
+    phases = np.diagonal(matrix)
+    if np.count_nonzero(matrix) == np.count_nonzero(phases):  # diagonal: a phase per state
+        block *= np.exp(1j * (space._occupations(lo, hi) @ np.angle(phases)))[:, None]
         return
     generator = _hermitian_log(matrix)
     for photons, idx in space._number_blocks(lo, hi):
@@ -685,6 +761,7 @@ def nonlinear_postselection_amplitude(
 ) -> complex:
     """<output| U |input> by brute-force evolution in the truncated basis.
 
+    The input's difference sector comes from :func:`sector_space`.
     Returns exactly zero when the conserved photon difference of input and
     output disagree.  The cap defaults to :func:`auto_photon_cap`; accuracy
     improves geometrically as the cap is raised above the occupations.
@@ -697,12 +774,8 @@ def nonlinear_postselection_amplitude(
         photon_cap = auto_photon_cap(max(input_occ.total, output_occ.total), circuit.total_gain)
     if photon_cap < max(input_occ.total, output_occ.total):
         raise ValueError("photon cap below the requested occupations")
-    space = enumerate_basis(
-        circuit.n_s_paths,
-        circuit.n_i_paths,
-        photon_cap,
-        delta=input_occ.difference,
-        dim_limit=dim_limit,
+    space = sector_space(
+        circuit.n_s_paths, circuit.n_i_paths, photon_cap, input_occ.difference, dim_limit=dim_limit
     )
     column = apply_circuit(circuit, space, space.basis_vector(input_occ), leak_tol=leak_tol)
     return complex(column[space.index(output_occ)])

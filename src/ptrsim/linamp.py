@@ -193,9 +193,11 @@ def verify_duality(
 
     All conservation-allowed (input, output) pairs with at most
     ``photon_budget`` photons on each side are enumerated in lexicographic
-    order; ``sample_count`` draws a seeded subsample without replacement
-    (enumeration order is preserved).  The brute-force side batches all
-    inputs of one difference sector into a single evolution.  Amplitude
+    order; ``sample_count`` (at least one) draws a seeded subsample without
+    replacement (enumeration order is preserved).  The brute-force side
+    batches all inputs of one difference sector into a single evolution on
+    the shared space of :func:`fock.sector_space`; ``photon_cap`` may not be
+    below ``photon_budget``, or inputs would fall outside it.  Amplitude
     pairs whose magnitudes both fall below ``atol`` count as residual zero.
 
     The dual side involves no truncation, so any truncation damage on the
@@ -205,6 +207,12 @@ def verify_duality(
     """
     if photon_budget < 0:
         raise ValueError("photon budget must be nonnegative")
+    if sample_count is not None and sample_count < 1:
+        raise ValueError(f"sample count must be at least 1, got {sample_count}")
+    if photon_cap is None:
+        photon_cap = fock.auto_photon_cap(photon_budget, circuit.total_gain)
+    if photon_cap < photon_budget:
+        raise ValueError(f"photon cap {photon_cap} is below the photon budget {photon_budget}")
     setup = ptr.build_ptr(circuit)
     n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
     occupations = _occupations(n_s, n_i, photon_budget)
@@ -219,8 +227,6 @@ def verify_duality(
         rng = np.random.default_rng(seed)
         chosen = np.sort(rng.choice(len(pairs), size=sample_count, replace=False))
         pairs = [pairs[int(k)] for k in chosen]
-    if photon_cap is None:
-        photon_cap = fock.auto_photon_cap(photon_budget, circuit.total_gain)
 
     # one batched evolution per difference sector
     sectors: dict[int, list[int]] = {}
@@ -231,7 +237,7 @@ def verify_duality(
         members = sectors[delta]
         sector_inputs = sorted({pairs[k][0] for k in members}, key=OccupationVector.key)
         col_of = {occ: col for col, occ in enumerate(sector_inputs)}
-        space = fock.enumerate_basis(n_s, n_i, photon_cap, delta=delta, dim_limit=dim_limit)
+        space = fock.sector_space(n_s, n_i, photon_cap, delta, dim_limit=dim_limit)
         in_rows = _basis_rows(space, sector_inputs)
         block = np.zeros((space.dimension, len(sector_inputs)), dtype=np.complex128)
         block[in_rows, np.arange(len(sector_inputs))] = 1.0

@@ -334,3 +334,54 @@ def test_complex_argument_parser():
         cli._parse_complex_list("zz", 1, "--test")
     with pytest.raises(CircuitFormatError, match="finite"):
         cli._parse_complex_list("0.5, nan", 2, "--test")
+
+
+def test_main_reuses_one_parser_with_unchanged_results(circuit_file, capsys):
+    runs = [
+        ["ptr", "--circuit", circuit_file, "--json"],
+        ["amp", "--circuit", circuit_file, "--input", "1,0;1,0", "--output", "0,1;0,1"],
+        ["verify", "--circuit", circuit_file, "--max-photons", "1", "--samples", "3", "--json"],
+        ["amp", "--circuit", circuit_file],  # argparse refuses: exit 2
+        ["qfunc", "--circuit", circuit_file, "--points", "3", "--seed", "5"],
+        ["verify", "--circuit", circuit_file, "--max-photons", "1", "--tol", "1e-30"],
+        ["ptr", "--circuit", circuit_file, "--json"],
+    ]
+
+    def fresh_parser(argv):
+        return cli.dispatch(cli.build_parser().parse_args(argv))
+
+    parser = cli._shared_parser()
+    codes = []
+    for argv in runs:
+        results = []
+        for entry in (cli.main, fresh_parser):
+            try:
+                code = entry(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        assert results[0] == results[1], argv
+        codes.append(results[0][0])
+    assert codes == [0, 0, 0, 2, 0, 1, 0]
+    assert cli._shared_parser() is parser
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "--samples", "0"], "--samples"),
+        (["verify", "--samples", "-3"], "--samples"),
+        (["qfunc", "--points", "0"], "--points"),
+    ],
+)
+def test_counts_must_be_positive_integers(circuit_file, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv + ["--circuit", circuit_file])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_cap_below_the_budget(circuit_file, capsys):
+    assert cli.main(["verify", "--circuit", circuit_file, "--cutoff", "2", "--max-photons", "4"]) == 2
+    assert "photon cap 2 is below the photon budget 4" in capsys.readouterr().err

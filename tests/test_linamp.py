@@ -178,6 +178,19 @@ def test_duality_subsampling_is_seeded():
     assert [c.input for c in a.comparisons] == [c.input for c in b.comparisons]
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_duality_refuses_a_sample_count_below_one(count):
+    circuit = Circuit(1, 1, (Pdc(0, 0, 0.5),))
+    with pytest.raises(ValueError, match=f"sample count must be at least 1, got {count}"):
+        linamp.verify_duality(circuit, photon_budget=2, photon_cap=30, sample_count=count)
+
+
+def test_duality_refuses_a_cap_below_the_budget():
+    circuit = Circuit(1, 1, (Pdc(0, 0, 0.5),))
+    with pytest.raises(ValueError, match="photon cap 3 is below the photon budget 4"):
+        linamp.verify_duality(circuit, photon_budget=4, photon_cap=3)
+
+
 def test_four_photon_estimate_matches_submatrix_permanent():
     circuit = Circuit(2, 2, (Pdc(0, 0, 0.06), Pdc(1, 1, 0.06), LinearS(haar(2, 13))))
     setup = build_ptr(circuit)
