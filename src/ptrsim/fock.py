@@ -39,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,9 +50,6 @@ from .errors import DimensionOverflowError, TruncationLeakError
 #: largest basis the package will materialise before declaring the instance
 #: out of desk scale.
 DEFAULT_DIM_LIMIT = 4_000_000
-
-#: largest basis for which a dense operator matrix is built.
-DENSE_OPERATOR_LIMIT = 3_000
 
 #: default tolerance on the measured norm defect of evolved columns.
 DEFAULT_LEAK_TOL = 1e-3
@@ -128,18 +125,9 @@ def occupations_upto(n_modes: int, budget: int) -> list[tuple[int, ...]]:
     return [tuple(row) for row in slack[:, :n_modes].tolist()]
 
 
-def _exact_compositions(n_modes: int, total: int) -> Iterator[tuple[int, ...]]:
-    if n_modes == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _exact_compositions(n_modes - 1, total - head):
-            yield (head,) + tail
-
-
 def occupations_with_total(n_modes: int, total: int) -> list[tuple[int, ...]]:
     """Occupation tuples on ``n_modes`` modes with total == total (lexicographic)."""
-    return list(_exact_compositions(n_modes, total))
+    return [tuple(row) for row in _compositions(n_modes, total).tolist()]
 
 
 @lru_cache(maxsize=256)
@@ -522,12 +510,6 @@ def _apply_element(space: FockSpace, element, block: np.ndarray) -> None:
     _apply_unitary(space, lo, hi, element.matrix, block)
 
 
-def _columns(block) -> tuple[np.ndarray, bool]:
-    """Private complex copy of ``block`` as a 2-D array, and whether it was 1-D."""
-    block = np.array(block, dtype=np.complex128)
-    return (block[:, None], True) if block.ndim == 1 else (block, False)
-
-
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
@@ -556,7 +538,10 @@ def apply_circuit(
     """
     if circuit.n_s_paths != space.n_s_paths or circuit.n_i_paths != space.n_i_paths:
         raise ValueError("circuit and space disagree on path counts")
-    block, squeeze = _columns(block)
+    block = np.array(block, dtype=np.complex128)  # private copy, evolved in place
+    squeeze = block.ndim == 1
+    if squeeze:
+        block = block[:, None]
     norms_in = np.linalg.norm(block, axis=0)
     for element in circuit.elements:
         _apply_element(space, element, block)
@@ -575,32 +560,6 @@ def apply_circuit(
                 " raise the photon cap"
             )
     return block[:, 0] if squeeze else block
-
-
-def apply_linear(matrix: np.ndarray, space: FockSpace, block: np.ndarray) -> np.ndarray:
-    """Action of a photon-number-conserving network on a block of columns.
-
-    ``matrix`` scatters creation operators over the concatenated
-    (signal, idler) path index and may mix the two sides, so the space must
-    be unrestricted; the operator fixes the vacuum, so no truncation leak occurs.
-    """
-    n_modes = space.n_s_paths + space.n_i_paths
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (n_modes, n_modes):
-        raise ValueError(f"network matrix must be {n_modes}x{n_modes}")
-    if space.delta is not None:
-        raise ValueError("a network on all paths needs an unrestricted space")
-    block, squeeze = _columns(block)
-    _apply_unitary(space, 0, n_modes, matrix, block)
-    return block[:, 0] if squeeze else block
-
-
-def linear_operator(matrix: np.ndarray, space: FockSpace) -> np.ndarray:
-    """Dense Fock-space operator of :func:`apply_linear`, for small spaces."""
-    dim = space.dimension
-    if dim > DENSE_OPERATOR_LIMIT:
-        raise DimensionOverflowError(f"dense operator on {dim} states refused; use apply_linear instead")
-    return apply_linear(matrix, space, np.eye(dim, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------

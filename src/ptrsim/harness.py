@@ -316,18 +316,32 @@ def expectation_duality_residual(
     """Relative defect of the separable-observable expectation duality.
 
     The left side is the brute-force Heisenberg expectation of
-    O_s (x) O_i on the evolved input product state.  The right side
-    diagonalizes both observables and sums |nc|^2-weighted squared linear
-    amplitudes of the hypothetical-beamsplitter network between swapped
-    eigenvector/input products, evaluated exactly on a photon-conserving
-    space.  Inputs should be normalized; observables are Hermitian matrices
-    over the listed occupation bases.
+    O_s (x) O_i on the evolved input product state.  The right side comes
+    from the dual arm alone: with M[b, x] = sum_{a,c} s[a] i[c]
+    <b, x| U |a, c> taken by :func:`linamp.ptr_postselection_amplitude`
+    (nc times a permanent of the hypothetical-beamsplitter network between
+    the swapped occupations), it is Re tr(O_s M conj(O_i) M^+).  That is
+    the sum over both eigenbases of eigenvalue-weighted squared swapped
+    amplitudes, regrouped.  Inputs should be normalized; observables are
+    Hermitian, relative to their largest entry, over the listed occupation
+    bases.  Non-finite observables or amplitudes raise ``ValueError``.
     """
     n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
     obs_s = np.asarray(obs_s, dtype=np.complex128)
     obs_i = np.asarray(obs_i, dtype=np.complex128)
-    if np.abs(obs_s - obs_s.conj().T).max() > 1e-12 or np.abs(obs_i - obs_i.conj().T).max() > 1e-12:
-        raise ValueError("observables must be Hermitian")
+    inputs = {
+        "obs_s": obs_s,
+        "obs_i": obs_i,
+        "s_state": np.array(list(s_state.values()), dtype=np.complex128),
+        "i_state": np.array(list(i_state.values()), dtype=np.complex128),
+    }
+    for name, values in inputs.items():
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} has a non-finite entry")
+    for obs in (obs_s, obs_i):
+        scale = max(1.0, np.abs(obs).max(initial=0.0))
+        if np.abs(obs - obs.conj().T).max(initial=0.0) > 1e-12 * scale:
+            raise ValueError("observables must be Hermitian")
     if photon_cap is None:
         max_in = max(sum(occ) for occ in s_state) + max(sum(occ) for occ in i_state)
         photon_cap = fock.auto_photon_cap(max_in, circuit.total_gain)
@@ -338,36 +352,15 @@ def expectation_duality_residual(
     lhs = fock.observable_expectation(circuit, space, state, operator, leak_tol=leak_tol).real
 
     setup = build_ptr(circuit)
-    eig_s, vec_s = np.linalg.eigh(obs_s)
-    eig_i, vec_i = np.linalg.eigh(obs_i)
-    max_total = max(
-        max(sum(occ) for occ in s_state) + max(sum(occ) for occ in i_basis),
-        max(sum(occ) for occ in s_basis) + max(sum(occ) for occ in i_state),
-    )
-    dual_space = FockSpace(n_s, n_i, max_total)
-    network_op = fock.linear_operator(setup.scattering.full, dual_space)
-    rhs = 0.0
-    for m, mu in enumerate(eig_i):
-        if abs(mu) == 0.0:
-            continue
-        ket = fock.product_state_vector(
-            dual_space,
-            s_state,
-            {occ: np.conj(vec_i[x, m]) for x, occ in enumerate(i_basis)},
-            normalize=False,
-        )
-        image = network_op @ ket
-        for k, lam in enumerate(eig_s):
-            if abs(lam) == 0.0:
-                continue
-            bra = fock.product_state_vector(
-                dual_space,
-                {occ: vec_s[x, k] for x, occ in enumerate(s_basis)},
-                {occ: np.conj(a) for occ, a in i_state.items()},
-                normalize=False,
+    swapped = np.zeros((len(s_basis), len(i_basis)), dtype=np.complex128)
+    for b, s_out in enumerate(s_basis):
+        for x, i_out in enumerate(i_basis):
+            swapped[b, x] = sum(
+                s_amp * i_amp * linamp.ptr_postselection_amplitude(setup, (s_in, i_in), (s_out, i_out))
+                for s_in, s_amp in s_state.items()
+                for i_in, i_amp in i_state.items()
             )
-            amplitude = setup.nc * np.vdot(bra, image)
-            rhs += lam.real * mu.real * abs(amplitude) ** 2
+    rhs = np.trace(obs_s @ swapped @ obs_i.conj() @ swapped.conj().T).real
     return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
 
 

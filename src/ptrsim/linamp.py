@@ -257,7 +257,7 @@ def verify_duality(
     return DualityReport(photon_budget, photon_cap, setup.nc, tuple(comparisons))
 
 
-def four_photon_awp_amplitude(setup, s_pair: Sequence[int], i_pair: Sequence[int]) -> complex:
+def four_photon_awp_amplitude(setup: PtrSetup, s_pair: Sequence[int], i_pair: Sequence[int]) -> complex:
     """Leading-order four-photon coincidence amplitude in the advanced-wave picture.
 
     ``s_pair`` and ``i_pair`` name the two signal and two idler detection
@@ -267,11 +267,8 @@ def four_photon_awp_amplitude(setup, s_pair: Sequence[int], i_pair: Sequence[int
     forms; the normalization coefficient is deliberately omitted, so at low
     gain the ratio against brute force approaches one like the gain squared.
     """
-    matrix = setup.scattering if isinstance(setup, PtrSetup) else setup
-    if not isinstance(matrix, ScatteringMatrix):
-        raise TypeError("expected a PtrSetup or ScatteringMatrix")
     (k1, k2), (l1, l2) = tuple(s_pair), tuple(i_pair)
-    coupling = matrix.si
+    coupling = setup.scattering.si
     if k1 != k2 and l1 != l2:
         return complex(coupling[k1, l1] * coupling[k2, l2] + coupling[k2, l1] * coupling[k1, l2])
     if k1 == k2 and l1 != l2:

@@ -34,6 +34,7 @@ def test_occupations_with_total_matches_stars_and_bars(n_modes, total):
     assert len(found) == math.comb(total + n_modes - 1, n_modes - 1)
     assert all(sum(occ) == total and len(occ) == n_modes for occ in found)
     assert len(set(found)) == len(found)
+    assert found == sorted(found)  # lexicographic order
 
 
 def test_occupations_upto_is_union_of_exact_totals():

@@ -1,6 +1,8 @@
 """The block engine against the dense generator oracle on random circuits."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,3 +149,20 @@ def test_leak_guard_regression():
     adequate = fock.FockSpace(2, 1, 20, delta=0)
     out = fock.apply_circuit(circuit, adequate, adequate.basis_vector(vacuum), leak_tol=1e-3)
     assert np.isclose(np.linalg.norm(out), 1.0, atol=1e-13)
+
+
+def test_brute_side_borrows_nothing_from_the_dual_side():
+    """fock.py imports neither permanents (linamp) nor scattering maths (scatter),
+    at module level or inside a function, so the two arms fail independently."""
+    tree = ast.parse(Path(fock.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        imported.update(part for name in names for part in name.split("."))
+    assert "ptr" in imported  # the walk sees the local import of the element types
+    assert not imported & {"linamp", "scatter"}

@@ -6,7 +6,7 @@ import scipy.linalg
 
 import oracles
 from ptrsim import fock
-from ptrsim.errors import DimensionOverflowError
+from ptrsim.ptr import Circuit, LinearI, LinearS, Pdc, PhaseS
 
 
 def haar(dim: int, seed: int) -> np.ndarray:
@@ -33,30 +33,19 @@ def dense_oracle_operator(matrix: np.ndarray, space: fock.FockSpace, cutoff: int
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_linear_operator_matches_kron_oracle(seed):
-    matrix = haar(2, seed)
-    space = fock.FockSpace(1, 1, 3)
-    ours = fock.linear_operator(matrix, space)
-    theirs = dense_oracle_operator(matrix, space, cutoff=3)
-    assert np.allclose(ours, theirs, atol=1e-12)
-
-
-def test_linear_operator_is_unitary_per_sector():
-    matrix = haar(3, 7)
-    space = fock.FockSpace(2, 1, 4)
-    op = fock.linear_operator(matrix, space)
-    assert np.allclose(op.conj().T @ op, np.eye(space.dimension), atol=1e-12)
-    # photon number is conserved: no matrix element may connect different totals
-    different = space.totals[:, None] != space.totals[None, :]
-    assert np.max(np.abs(op[different])) < 1e-13
-
-
-def test_apply_linear_matches_dense_operator():
-    matrix = haar(2, 3)
-    space = fock.FockSpace(1, 1, 5)
-    op = fock.linear_operator(matrix, space)
-    rng = np.random.default_rng(11)
-    block = rng.normal(size=(space.dimension, 3)) + 1j * rng.normal(size=(space.dimension, 3))
-    assert np.allclose(fock.apply_linear(matrix, space, block), op @ block, atol=1e-11)
+    """A one-sided network lifted by the engine, against the Kronecker oracle
+    of the same unitary embedded block-diagonally on all three paths."""
+    unitary = haar(2, seed)
+    for element, n_s, n_i in [(LinearS(unitary), 2, 1), (LinearI(unitary), 1, 2)]:
+        space = fock.FockSpace(n_s, n_i, 3)
+        embedded = np.eye(3, dtype=np.complex128)
+        lo = 0 if element.side == "s" else 1
+        embedded[lo : lo + 2, lo : lo + 2] = unitary
+        ours = fock.apply_circuit(
+            Circuit(n_s, n_i, (element,)), space, np.eye(space.dimension), leak_tol=None
+        )
+        theirs = dense_oracle_operator(embedded, space, cutoff=3)
+        assert np.allclose(ours, theirs, atol=1e-12)
 
 
 def test_number_generator_diagonal_counts_photons():
@@ -103,8 +92,6 @@ def test_annihilation_matrix_validates_arguments():
 
 
 def test_nonlinear_operator_matches_column_evolution():
-    from ptrsim.ptr import Circuit, Pdc, PhaseS
-
     circuit = Circuit(1, 1, (Pdc(0, 0, 0.4), PhaseS(0, 0.3)))
     space = fock.FockSpace(1, 1, 8, delta=0)
     op = oracles.nonlinear_operator(circuit, space)
@@ -113,15 +100,7 @@ def test_nonlinear_operator_matches_column_evolution():
         assert np.allclose(op[:, space.index(occ)], column, atol=1e-12)
 
 
-def test_dense_operator_refuses_large_spaces():
-    space = fock.FockSpace(3, 3, 12)
-    with pytest.raises(DimensionOverflowError):
-        fock.linear_operator(np.eye(6), space)
-
-
 def test_product_state_vector_and_observables():
-    from ptrsim.ptr import Circuit, Pdc
-
     space = fock.FockSpace(1, 1, 6)
     s_amp = {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)}
     i_amp = {(0,): 1.0}
@@ -136,8 +115,6 @@ def test_product_state_vector_and_observables():
 
 
 def test_observable_expectation_counts_generated_pairs():
-    from ptrsim.ptr import Circuit, Pdc
-
     r = 0.6
     space = fock.FockSpace(1, 1, 40)
     vacuum = space.basis_vector(fock.OccupationVector((0,), (0,)))

@@ -119,11 +119,50 @@ def test_expectation_duality_on_small_random_circuit():
 
 def test_expectation_duality_requires_hermitian_observables():
     circuit = harness.random_circuit(311, 1, 1, 1, 0.4)
+    basis = [(0,), (1,)]
     skew = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Hermitian"):
         harness.expectation_duality_residual(
-            circuit, {(0,): 1.0}, {(0,): 1.0}, skew, [(0,), (1,)], np.eye(2), [(0,), (1,)]
+            circuit, {(0,): 1.0}, {(0,): 1.0}, skew, basis, np.eye(2), basis
         )
+    # asymmetry 1e-9 against entries of 2e6 is roundoff, not a defect
+    large = np.array([[1e6, 1.0], [1.0 + 1e-9j, 2e6]])
+    residual = harness.expectation_duality_residual(
+        circuit, {(0,): 1.0}, {(0,): 1.0}, large, basis, np.eye(2), basis
+    )
+    assert residual < 1e-8
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_expectation_duality_rejects_non_finite_input(bad):
+    circuit = harness.random_circuit(310, 1, 1, 2, 0.5)
+    basis = [(0,), (1,), (2,)]
+    obs = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    good = {
+        "obs_s": obs,
+        "obs_i": obs,
+        "s_state": {(0,): 1.0},
+        "i_state": {(0,): 1.0},
+    }
+    broken = {
+        "obs_s": np.diag([0.0, 1.0, bad]),
+        "obs_i": np.diag([0.0, 1.0, bad]),
+        "s_state": {(0,): 1.0, (1,): bad},
+        "i_state": {(0,): complex(1.0, bad)},
+    }
+    for name, value in broken.items():
+        args = {**good, name: value}
+        with pytest.raises(ValueError, match=name):
+            harness.expectation_duality_residual(
+                circuit,
+                args["s_state"],
+                args["i_state"],
+                args["obs_s"],
+                basis,
+                args["obs_i"],
+                basis,
+                photon_cap=20,
+            )
 
 
 def test_teleportation_circuit_structure():
