@@ -4,7 +4,8 @@ Circuits travel as JSON documents with complex numbers encoded as
 ``[re, im]`` pairs and matrices as row-major nested lists of such pairs.
 Results go to stdout (human-readable by default, machine-readable with
 ``--json``); diagnostics go to stderr.  Exit codes: 0 pass, 1 residual
-above tolerance, 2 usage or document error, 3 numerical failure.
+above tolerance, 2 usage or document error, 3 numerical failure (including
+a residual that is NaN or infinite).
 """
 
 from __future__ import annotations
@@ -217,6 +218,14 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
         print("\n".join(lines))
 
 
+def _verdict(residual: float, tol: float) -> int:
+    """Exit code for a residual checked against ``tol``; NaN or inf is a numerical failure."""
+    if not math.isfinite(residual):
+        print(f"numerical failure: residual is {residual}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_PASS if residual <= tol else EXIT_RESIDUAL
+
+
 def _matrix_lines(name: str, matrix: np.ndarray) -> list[str]:
     body = np.array2string(np.asarray(matrix), precision=12, suppress_small=False)
     return [f"{name}:"] + ["  " + line for line in body.splitlines()]
@@ -275,7 +284,7 @@ def _cmd_amp(args) -> tuple[int, dict, list[str]]:
         f"ptr amplitude:       {dual:.15g}",
         f"relative residual:   {residual:.3e}",
     ]
-    return (EXIT_PASS if residual <= args.tol else EXIT_RESIDUAL), payload, lines
+    return _verdict(residual, args.tol), payload, lines
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
@@ -302,8 +311,7 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
         f"max abs residual: {report.max_abs_residual:.3e}",
         f"max rel residual: {report.max_rel_residual:.3e}",
     ]
-    code = EXIT_PASS if report.max_rel_residual <= args.tol else EXIT_RESIDUAL
-    return code, payload, lines
+    return _verdict(report.max_rel_residual, args.tol), payload, lines
 
 
 def _cmd_qfunc(args) -> tuple[int, dict, list[str]]:
@@ -337,7 +345,7 @@ def _cmd_qfunc(args) -> tuple[int, dict, list[str]]:
     residual = gaussian.q_duality_residual(circuit, alpha_s, alpha_i, beta_s, beta_i)
     payload = {"points": points, "max_rel_residual": residual}
     lines = [f"points: {points}", f"max rel residual: {residual:.3e}"]
-    return (EXIT_PASS if residual <= args.tol else EXIT_RESIDUAL), payload, lines
+    return _verdict(residual, args.tol), payload, lines
 
 
 def _cmd_awp(args) -> tuple[int, dict, list[str]]:
@@ -356,7 +364,7 @@ def _cmd_awp(args) -> tuple[int, dict, list[str]]:
         f"deviation from one: {abs(ratio - 1.0):.3e}  (vanishes as gain^2)",
         f"exact-identity residual: {identity_residual:.3e}",
     ]
-    return (EXIT_PASS if identity_residual <= args.tol else EXIT_RESIDUAL), payload, lines
+    return _verdict(identity_residual, args.tol), payload, lines
 
 
 def _cmd_examples(args) -> tuple[int, dict, list[str]]:

@@ -1,10 +1,12 @@
 """Multiphoton amplitudes of linear networks and the duality verifier.
 
-Postselected Fock amplitudes of a linear network are matrix permanents of
-row/column-repeated submatrices, evaluated by Ryser's formula summed over
-the repeats.  The verifier pits those permanents, scaled by the
-normalization coefficient of the dual setup, against brute-force
-truncated Fock-space amplitudes of the nonlinear circuit.
+Postselected Fock amplitudes of a linear network are permanents of the
+network's submatrix over the occupied modes, rows and columns repeated by
+their counts.  Ryser's formula is summed over the repeats, with each
+distinct row raised to the power of its multiplicity, so the dual arm
+never builds the repeated submatrix.  The verifier pits those amplitudes,
+scaled by the normalization coefficient of the dual setup, against
+brute-force truncated Fock-space amplitudes of the nonlinear circuit.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .scatter import ScatteringMatrix
 MAX_PERMANENT_SIZE = 20
 #: Ryser terms evaluated per matmul; grids this small are also cached.
 RYSER_CHUNK = 1 << 10
+_FACTORIALS = tuple(math.factorial(n) for n in range(MAX_PERMANENT_SIZE + 1))
 
 
 def _multiplicities(matrix: np.ndarray) -> tuple[list[int], tuple[int, ...]]:
@@ -60,14 +63,32 @@ def _ryser_grid(multiplicities: tuple[int, ...], start: int, stop: int):
 _cached_ryser_grid = lru_cache(maxsize=128)(_ryser_grid)
 
 
+def _repeated_permanent(distinct: np.ndarray, row_mult: tuple[int, ...], col_mult: tuple[int, ...]) -> complex:
+    """Permanent of ``distinct`` with row r repeated row_mult[r] times, column j col_mult[j].
+
+    Ryser's formula summed by multiplicity: a subset takes k = 0..m copies
+    of a column repeated m times, in C(m, k) ways (Chin & Huh 2018), and a
+    row repeated m times enters as its row sum to the power m.  The sum
+    runs over the side with fewer prod(m + 1) terms (perm A = perm A^T), in
+    chunks of ``RYSER_CHUNK`` terms, each one matmul.
+    """
+    row_terms, terms = _terms(row_mult), _terms(col_mult)
+    if row_terms < terms:
+        distinct, row_mult, col_mult, terms = distinct.T, col_mult, row_mult, row_terms
+    powers = np.array(row_mult)[:, None]
+    grid_of = _cached_ryser_grid if terms <= RYSER_CHUNK else _ryser_grid
+    total = 0.0 + 0.0j
+    for start in range(0, terms, RYSER_CHUNK):
+        grid, weights = grid_of(col_mult, start, min(start + RYSER_CHUNK, terms))
+        total += np.multiply.reduce((distinct @ grid) ** powers, axis=0) @ weights
+    return complex(total)
+
+
 def permanent(matrix: np.ndarray) -> complex:
     """Permanent of a square complex matrix by Ryser's formula.
 
-    Runs of equal adjacent columns (or rows, whichever side needs fewer
-    terms) are summed by multiplicity, so a matrix whose distinct columns
-    repeat m_j times costs prod(m_j + 1) terms instead of 2^n; the terms
-    are evaluated in chunks of ``RYSER_CHUNK``, each one matmul.  Sizes
-    above ``MAX_PERMANENT_SIZE`` are refused.
+    Runs of equal adjacent columns and rows are summed by multiplicity
+    (:func:`_repeated_permanent`).  Sizes above ``MAX_PERMANENT_SIZE`` are refused.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -77,21 +98,24 @@ def permanent(matrix: np.ndarray) -> complex:
         raise DimensionOverflowError(f"permanent of size {n} exceeds {MAX_PERMANENT_SIZE}")
     if n == 0:
         return 1.0 + 0.0j
-    # Ryser's formula summed by multiplicity: a subset takes k = 0..m copies
-    # of a column repeated m times, in C(m, k) ways (Chin & Huh 2018).
     col_starts, col_mult = _multiplicities(matrix)
     row_starts, row_mult = _multiplicities(matrix.T)
-    if _terms(row_mult) < _terms(col_mult):
-        matrix, col_starts, col_mult = matrix.T, row_starts, row_mult  # perm A = perm A^T
-    distinct, terms = matrix[:, col_starts], _terms(col_mult)
-    if terms <= RYSER_CHUNK:
-        grid, weights = _cached_ryser_grid(col_mult, 0, terms)
-        return complex(np.prod(distinct @ grid, axis=0) @ weights)
-    total = 0.0 + 0.0j
-    for start in range(0, terms, RYSER_CHUNK):
-        grid, weights = _ryser_grid(col_mult, start, min(start + RYSER_CHUNK, terms))
-        total += np.prod(distinct @ grid, axis=0) @ weights
-    return complex(total)
+    return _repeated_permanent(matrix[row_starts][:, col_starts], row_mult, col_mult)
+
+
+def _counts_amplitude(matrix: np.ndarray, in_counts: tuple[int, ...], out_counts: tuple[int, ...]) -> complex:
+    """<out_counts| L |in_counts>: the occupied modes are the distinct rows and columns."""
+    photons = sum(in_counts)
+    if photons != sum(out_counts):
+        return 0.0 + 0.0j
+    if photons > MAX_PERMANENT_SIZE:
+        raise DimensionOverflowError(f"permanent of size {photons} exceeds {MAX_PERMANENT_SIZE}")
+    if photons == 0:
+        return 1.0 + 0.0j
+    cols, rows = [j for j, n in enumerate(in_counts) if n], [r for r, n in enumerate(out_counts) if n]
+    col_mult, row_mult = tuple(in_counts[j] for j in cols), tuple(out_counts[r] for r in rows)
+    norm = math.prod(_FACTORIALS[n] for n in col_mult + row_mult)
+    return _repeated_permanent(matrix[rows][:, cols], row_mult, col_mult) / math.sqrt(norm)
 
 
 def linear_fock_amplitude(network: ScatteringMatrix, input_occ, output_occ) -> complex:
@@ -103,16 +127,7 @@ def linear_fock_amplitude(network: ScatteringMatrix, input_occ, output_occ) -> c
     """
     in_counts = fock.as_occupation(input_occ, network.n_s, network.n_i).key()
     out_counts = fock.as_occupation(output_occ, network.n_s, network.n_i).key()
-    if sum(in_counts) != sum(out_counts):
-        return 0.0 + 0.0j
-    matrix = network.full
-    cols = np.repeat(np.arange(matrix.shape[1]), in_counts)
-    rows = np.repeat(np.arange(matrix.shape[0]), out_counts)
-    sub = matrix[np.ix_(rows, cols)]
-    norm = math.prod(math.factorial(n) for n in in_counts) * math.prod(
-        math.factorial(n) for n in out_counts
-    )
-    return permanent(sub) / math.sqrt(norm)
+    return _counts_amplitude(network.full, in_counts, out_counts)
 
 
 def ptr_postselection_amplitude(setup: PtrSetup, input_occ, output_occ) -> complex:
@@ -128,9 +143,9 @@ def ptr_postselection_amplitude(setup: PtrSetup, input_occ, output_occ) -> compl
     output_occ = fock.as_occupation(output_occ, n_s, n_i)
     if input_occ.difference != output_occ.difference:
         return 0.0 + 0.0j
-    swapped_in = OccupationVector(input_occ.s_counts, output_occ.i_counts)
-    swapped_out = OccupationVector(output_occ.s_counts, input_occ.i_counts)
-    return setup.nc * linear_fock_amplitude(setup.scattering, swapped_in, swapped_out)
+    swapped_in = input_occ.s_counts + output_occ.i_counts
+    swapped_out = output_occ.s_counts + input_occ.i_counts
+    return setup.nc * _counts_amplitude(setup.scattering.full, swapped_in, swapped_out)
 
 
 @dataclass(frozen=True)
@@ -147,7 +162,7 @@ class AmplitudeComparison:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Result of sweeping the duality over a photon budget."""
+    """Result of sweeping the duality over a photon budget; a NaN residual makes its maxima NaN."""
 
     photon_budget: int
     photon_cap: int
@@ -156,18 +171,11 @@ class DualityReport:
 
     @property
     def max_abs_residual(self) -> float:
-        return max((c.abs_residual for c in self.comparisons), default=0.0)
+        return float(np.max([c.abs_residual for c in self.comparisons], initial=0.0))
 
     @property
     def max_rel_residual(self) -> float:
-        return max((c.rel_residual for c in self.comparisons), default=0.0)
-
-
-def _occupations(n_s: int, n_i: int, budget: int) -> list[OccupationVector]:
-    return [
-        OccupationVector(counts[:n_s], counts[n_s:])
-        for counts in fock.occupations_upto(n_s + n_i, budget)
-    ]
+        return float(np.max([c.rel_residual for c in self.comparisons], initial=0.0))
 
 
 def _basis_rows(space: fock.FockSpace, occupations: Sequence[OccupationVector]) -> np.ndarray:
@@ -200,10 +208,9 @@ def verify_duality(
     below ``photon_budget``, or inputs would fall outside it.  Amplitude
     pairs whose magnitudes both fall below ``atol`` count as residual zero.
 
-    The dual side involves no truncation, so any truncation damage on the
-    brute side shows up directly in the reported residuals; the state-level
-    leak guard is therefore off by default.  Pass ``leak_tol`` to fail fast
-    on obviously undersized caps instead of reading it off the residuals.
+    The dual side involves no truncation, so truncation damage on the brute
+    side shows up directly in the residuals and the state-level leak guard is
+    off by default; ``leak_tol`` fails fast on obviously undersized caps.
     """
     if photon_budget < 0:
         raise ValueError("photon budget must be nonnegative")
@@ -215,7 +222,7 @@ def verify_duality(
         raise ValueError(f"photon cap {photon_cap} is below the photon budget {photon_budget}")
     setup = ptr.build_ptr(circuit)
     n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
-    occupations = _occupations(n_s, n_i, photon_budget)
+    occupations = [OccupationVector(c[:n_s], c[n_s:]) for c in fock.occupations_upto(n_s + n_i, photon_budget)]
     differences = [occ.difference for occ in occupations]
     pairs = [
         (occ_in, occ_out)
@@ -249,11 +256,9 @@ def verify_duality(
     for (occ_in, occ_out), brute in zip(pairs, nonlinear.tolist()):
         dual = ptr_postselection_amplitude(setup, occ_in, occ_out)
         abs_res = abs(brute - dual)
-        denom = max(abs(brute), abs(dual))
-        rel_res = 0.0 if denom < atol else abs_res / denom
-        comparisons.append(
-            AmplitudeComparison(occ_in, occ_out, brute, dual, abs_res, rel_res)
-        )
+        denom = max(abs(brute), abs(dual))  # may drop a NaN amplitude; abs_res keeps it
+        rel_res = abs_res if math.isnan(abs_res) else 0.0 if denom < atol else abs_res / denom
+        comparisons.append(AmplitudeComparison(occ_in, occ_out, brute, dual, abs_res, rel_res))
     return DualityReport(photon_budget, photon_cap, setup.nc, tuple(comparisons))
 
 
@@ -263,16 +268,11 @@ def four_photon_awp_amplitude(setup: PtrSetup, s_pair: Sequence[int], i_pair: Se
     ``s_pair`` and ``i_pair`` name the two signal and two idler detection
     paths (repeats allowed).  From the pumped vacuum, the amplitude is the
     permanent of the relevant 2x2 slice of the signal-to-idler coupling
-    block with bosonic bunching factors, which reduces to three closed
-    forms; the normalization coefficient is deliberately omitted, so at low
-    gain the ratio against brute force approaches one like the gain squared.
+    block with bosonic bunching factors, a two-photon linear amplitude of
+    that block; the normalization coefficient is deliberately omitted, so at
+    low gain the ratio against brute force approaches one like the gain squared.
     """
-    (k1, k2), (l1, l2) = tuple(s_pair), tuple(i_pair)
     coupling = setup.scattering.si
-    if k1 != k2 and l1 != l2:
-        return complex(coupling[k1, l1] * coupling[k2, l2] + coupling[k2, l1] * coupling[k1, l2])
-    if k1 == k2 and l1 != l2:
-        return complex(math.sqrt(2.0) * coupling[k1, l1] * coupling[k1, l2])
-    if k1 != k2 and l1 == l2:
-        return complex(math.sqrt(2.0) * coupling[k1, l1] * coupling[k2, l1])
-    return complex(coupling[k1, l1] ** 2)
+    s_counts = np.bincount(s_pair, minlength=coupling.shape[0]).tolist()
+    i_counts = np.bincount(i_pair, minlength=coupling.shape[1]).tolist()
+    return _counts_amplitude(coupling, i_counts, s_counts)

@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -139,6 +140,26 @@ def permanent_glynn(matrix: np.ndarray) -> complex:
         parities = 1.0 - 2.0 * (np.sum(bits, axis=0) % 2)
         total += np.sum(parities * prods)
     return complex(total / half)
+
+
+def permanent_ryser_mp(matrix: np.ndarray, digits: int = 40) -> complex:
+    """Permanent by Ryser's formula over all 2^n column subsets in ``digits``-digit arithmetic.
+
+    No multiplicity grouping and no choice of side: every subset's row sums
+    are formed and multiplied out one row at a time, then rounded to a
+    complex double only at the end.
+    """
+    rows = [[mpmath.mpc(complex(x)) for x in row] for row in np.asarray(matrix)]
+    n = len(rows)
+    with mpmath.workdps(digits):
+        total = mpmath.mpc(0)
+        for mask in range(1 << n):
+            cols = [j for j in range(n) if mask >> j & 1]
+            term = mpmath.mpc(1)
+            for row in rows:
+                term *= mpmath.fsum(row[j] for j in cols)
+            total += (-1) ** (n - len(cols)) * term
+        return complex(total)
 
 
 def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptrsim import cli
+from ptrsim import cli, fock, linamp
 from ptrsim.errors import CircuitFormatError
 from ptrsim.ptr import Pdc, build_ptr
 from test_gaussian import high_gain_circuit
@@ -270,6 +270,32 @@ def test_linear_algebra_failure_exits_3(circuit_file, capsys, monkeypatch):
     monkeypatch.setattr(cli.gaussian, "q_duality_residual", singular)
     assert cli.main(["qfunc", "--circuit", circuit_file]) == 3
     assert "numerical failure: Singular matrix" in capsys.readouterr().err
+
+
+def test_amp_command_exits_3_on_a_nan_amplitude(circuit_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli.linamp, "ptr_postselection_amplitude", lambda *args: complex(math.nan, 0.0))
+    code = cli.main(["amp", "--circuit", circuit_file, "--input", "1,0;1,0", "--output", "0,1;0,1"])
+    assert code == 3
+    assert "numerical failure: residual is nan" in capsys.readouterr().err
+
+
+def test_verify_command_exits_3_on_a_nan_residual_after_a_finite_one(circuit_file, capsys, monkeypatch):
+    occ = fock.OccupationVector((0, 0), (0, 0))
+    comparisons = tuple(linamp.AmplitudeComparison(occ, occ, 1.0, 1.0, r, r) for r in (0.1, math.nan))
+    report = linamp.DualityReport(2, 10, 1.0, comparisons)
+    monkeypatch.setattr(cli.linamp, "verify_duality", lambda *args, **kwargs: report)
+    # the finite residual alone would pass at this tolerance
+    assert cli.main(["verify", "--circuit", circuit_file, "--tol", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "max rel residual: nan" in captured.out
+    assert "numerical failure: residual is nan" in captured.err
+
+
+@pytest.mark.parametrize("residual", [math.nan, math.inf])
+def test_qfunc_command_exits_3_on_a_non_finite_residual(circuit_file, capsys, monkeypatch, residual):
+    monkeypatch.setattr(cli.gaussian, "q_duality_residual", lambda *args: residual)
+    assert cli.main(["qfunc", "--circuit", circuit_file]) == 3
+    assert f"numerical failure: residual is {residual}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

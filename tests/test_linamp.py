@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ptrsim import fock, linamp, scatter
+from ptrsim import fock, harness, linamp, scatter
 from ptrsim.errors import DimensionOverflowError
 from ptrsim.ptr import Circuit, LinearS, Pdc, PhaseI, build_ptr
 
@@ -30,7 +30,7 @@ def test_permanent_methods_agree_with_expansion(n):
 
 
 def repeated_submatrix(matrix, row_counts, col_counts) -> np.ndarray:
-    """Rows and columns repeated by occupation, as ``linear_fock_amplitude`` builds them."""
+    """Rows and columns repeated by occupation: the matrix whose permanent is a Fock amplitude."""
     rows = np.repeat(np.arange(matrix.shape[0]), row_counts)
     cols = np.repeat(np.arange(matrix.shape[1]), col_counts)
     return matrix[np.ix_(rows, cols)]
@@ -132,6 +132,74 @@ def test_linear_fock_amplitude_matches_kron_oracle(seed):
 def test_linear_fock_amplitude_conserves_photon_number():
     network = scatter.ScatteringMatrix.from_full(haar(2, 5), 1, 1)
     assert linamp.linear_fock_amplitude(network, ((1,), (0,)), ((1,), (1,))) == 0
+    assert linamp.linear_fock_amplitude(network, ((0,), (0,)), ((0,), (0,))) == 1
+
+
+def fock_norm(*counts) -> float:
+    return math.sqrt(math.prod(math.factorial(int(n)) for c in counts for n in c))
+
+
+def split(counts, n_s: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    counts = tuple(int(n) for n in counts)
+    return counts[:n_s], counts[n_s:]
+
+
+@st.composite
+def networks_and_occupations(draw):
+    modes = draw(st.integers(2, 8))
+    n_s = draw(st.integers(1, modes - 1))
+    photons = draw(st.integers(0, 8))
+    occupation = st.lists(st.integers(0, modes - 1), min_size=photons, max_size=photons)
+    in_counts = np.bincount(draw(occupation), minlength=modes)
+    out_counts = np.bincount(draw(occupation), minlength=modes)
+    return haar(modes, draw(st.integers(0, 2**32 - 1))), n_s, in_counts, out_counts
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(networks_and_occupations())
+def test_linear_fock_amplitude_matches_expansion_of_repeated_submatrix(case):
+    unitary, n_s, in_counts, out_counts = case
+    network = scatter.ScatteringMatrix.from_full(unitary, n_s, len(in_counts) - n_s)
+    sub = repeated_submatrix(unitary, out_counts, in_counts)
+    expected = oracles.permanent_by_expansion(sub) / fock_norm(in_counts, out_counts)
+    got = linamp.linear_fock_amplitude(network, split(in_counts, n_s), split(out_counts, n_s))
+    assert abs(got - expected) <= 1e-11 * abs(expected)
+
+
+def test_linear_fock_amplitude_of_twelve_distinct_modes_matches_glynn_across_chunks():
+    unitary = haar(12, 8)
+    network = scatter.ScatteringMatrix.from_full(unitary, 6, 6)
+    ones = ((1,) * 6, (1,) * 6)
+    assert 2**12 > linamp.RYSER_CHUNK  # 4096 terms, summed in several chunks
+    expected = oracles.permanent_glynn(unitary)
+    assert abs(linamp.linear_fock_amplitude(network, ones, ones) - expected) <= 1e-10 * abs(expected)
+
+
+def test_linear_fock_amplitude_refuses_more_photons_than_the_permanent_limit():
+    network = scatter.ScatteringMatrix.from_full(haar(2, 6), 1, 1)
+    photons = linamp.MAX_PERMANENT_SIZE + 1
+    with pytest.raises(DimensionOverflowError):
+        linamp.linear_fock_amplitude(network, ((photons,), (0,)), ((0,), (photons,)))
+
+
+@pytest.mark.parametrize(
+    "seed, swapped_in, swapped_out",
+    [
+        (2, (0, 2, 1, 0, 1, 0, 2, 0), (0, 0, 6, 0, 0, 0, 0, 0)),
+        (10, (0, 2, 1, 0, 1, 0, 2, 0), (0, 6, 0, 0, 0, 0, 0, 0)),
+    ],
+)
+def test_concentrated_output_is_summed_over_its_own_side(seed, swapped_in, swapped_out):
+    # Six photons in one output mode against a spread input: summing over the
+    # input side (36 terms of sixth powers) cancels badly here, by 5.6e-9 and
+    # 1.5e-10 relative; the output side needs 7 terms and stays at roundoff.
+    setup = build_ptr(harness.random_circuit(seed, 4, 4, 2, 0.8))
+    s_in, i_out = split(swapped_in, 4)
+    s_out, i_in = split(swapped_out, 4)
+    got = linamp.ptr_postselection_amplitude(setup, (s_in, i_in), (s_out, i_out)) / setup.nc
+    sub = repeated_submatrix(setup.scattering.full, swapped_out, swapped_in)
+    expected = oracles.permanent_ryser_mp(sub) / fock_norm(swapped_in, swapped_out)
+    assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
 def test_hong_ou_mandel_coincidence_vanishes():
@@ -160,6 +228,41 @@ def test_duality_report_bookkeeping():
     # every comparison respects the conserved photon difference
     for comp in report.comparisons:
         assert comp.input.difference == comp.output.difference
+
+
+def comparison(abs_residual: float, rel_residual: float) -> linamp.AmplitudeComparison:
+    occ = fock.OccupationVector((0,), (0,))
+    return linamp.AmplitudeComparison(occ, occ, 1.0, 1.0, abs_residual, rel_residual)
+
+
+@pytest.mark.parametrize("residuals", [(0.1, math.nan), (math.nan, 0.1), (0.0, math.nan, 0.2)])
+def test_duality_report_maxima_are_nan_if_any_residual_is(residuals):
+    comparisons = tuple(comparison(r, r) for r in residuals)
+    report = linamp.DualityReport(2, 10, 1.0, comparisons)
+    assert math.isnan(report.max_abs_residual)
+    assert math.isnan(report.max_rel_residual)
+
+
+def test_duality_report_maxima_of_finite_and_empty_reports():
+    report = linamp.DualityReport(2, 10, 1.0, (comparison(0.1, 0.3), comparison(0.2, 0.1)))
+    assert (report.max_abs_residual, report.max_rel_residual) == (0.2, 0.3)
+    assert linamp.DualityReport(2, 10, 1.0, ()).max_rel_residual == 0.0
+
+
+def test_duality_keeps_a_nan_dual_amplitude_next_to_a_zero_brute_one(monkeypatch):
+    # signal path 1 is idle, so brute force gives exactly 0 for 1,0;0 -> 0,1;0;
+    # max(|brute|, |dual|) drops the NaN and alone would read "both below atol"
+    broken = fock.OccupationVector((1, 0), (0,)), fock.OccupationVector((0, 1), (0,))
+    dual = linamp.ptr_postselection_amplitude
+
+    def nan_on_one_pair(setup, occ_in, occ_out):
+        return complex(math.nan, 0.0) if (occ_in, occ_out) == broken else dual(setup, occ_in, occ_out)
+
+    monkeypatch.setattr(linamp, "ptr_postselection_amplitude", nan_on_one_pair)
+    report = linamp.verify_duality(Circuit(2, 1, (Pdc(0, 0, 0.3),)), photon_budget=1, photon_cap=8)
+    (hit,) = [c for c in report.comparisons if (c.input, c.output) == broken]
+    assert hit.nonlinear == 0 and math.isnan(hit.rel_residual)
+    assert math.isnan(report.max_rel_residual)
 
 
 def test_duality_on_mixed_circuit_at_generous_cap():
@@ -194,6 +297,14 @@ def test_duality_refuses_a_cap_below_the_budget():
 def test_four_photon_estimate_matches_submatrix_permanent():
     circuit = Circuit(2, 2, (Pdc(0, 0, 0.06), Pdc(1, 1, 0.06), LinearS(haar(2, 13))))
     setup = build_ptr(circuit)
-    estimate = linamp.four_photon_awp_amplitude(setup, (0, 1), (0, 1))
-    sub = setup.scattering.si[np.ix_((0, 1), (0, 1))]
-    assert np.isclose(estimate, linamp.permanent(sub), rtol=1e-12)
+    # distinct and bunched detection pairs; bunching is the product of 2! per doubled path
+    for s_pair, i_pair, bunching in [
+        ((0, 1), (0, 1), 1),
+        ((0, 0), (0, 1), 2),
+        ((0, 1), (1, 1), 2),
+        ((1, 1), (0, 0), 4),
+    ]:
+        estimate = linamp.four_photon_awp_amplitude(setup, s_pair, i_pair)
+        sub = setup.scattering.si[np.ix_(s_pair, i_pair)]
+        expected = oracles.permanent_by_expansion(sub) / math.sqrt(bunching)
+        assert np.isclose(estimate, expected, rtol=1e-12)
