@@ -2,18 +2,18 @@
 
 A scattering matrix maps the pair of input amplitude vectors (signal,
 idler) to outputs through four blocks; `is_` carries the trailing
-underscore only because ``is`` is a Python keyword.  The Redheffer star
-product composes two such devices including the feedback loop between the
-first device's idler-to-signal path and the second device's signal-to-idler
+underscore only because ``is`` is a Python keyword.  Both kinds of matrix
+hold one read-only (n_s+n_i)² complex matrix, ``full``, and the four
+blocks are views of it, never copies.  The Redheffer star product
+composes two such devices including the feedback loop between the first
+device's idler-to-signal path and the second device's signal-to-idler
 path; the transfer-matrix picture turns that composition into a plain
-matrix product.
+matrix product of the full matrices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,14 +23,6 @@ from .errors import SingularCavityError
 COND_LIMIT = 1e12
 
 
-def _block(matrix) -> np.ndarray:
-    out = np.array(matrix, dtype=np.complex128)
-    if out.ndim != 2:
-        raise ValueError("blocks must be two-dimensional")
-    out.setflags(write=False)  # instances are frozen and cache `full` from their blocks
-    return out
-
-
 def _solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     cond = np.linalg.cond(matrix)
     if not np.isfinite(cond) or cond > COND_LIMIT:
@@ -38,49 +30,51 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(matrix, rhs)
 
 
-@dataclass(frozen=True)
-class ScatteringMatrix:
-    """Blocks mapping (signal, idler) inputs to (signal, idler) outputs."""
+class _TwoPort:
+    """Read-only full matrix over (signal, idler) paths with views ``ss``, ``si``, ``is_``, ``ii``."""
 
-    ss: np.ndarray
-    si: np.ndarray
-    is_: np.ndarray
-    ii: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "ss", _block(self.ss))
-        object.__setattr__(self, "si", _block(self.si))
-        object.__setattr__(self, "is_", _block(self.is_))
-        object.__setattr__(self, "ii", _block(self.ii))
-        n_s, n_i = self.n_s, self.n_i
-        if self.si.shape != (n_s, n_i) or self.is_.shape != (n_i, n_s) or self.ii.shape != (n_i, n_i):
+    def __init__(self, ss, si, is_, ii):
+        blocks = [np.asarray(block) for block in (ss, si, is_, ii)]
+        if any(block.ndim != 2 for block in blocks):
+            raise ValueError("blocks must be two-dimensional")
+        n_s, n_i = len(blocks[0]), len(blocks[3])
+        if [block.shape for block in blocks] != [(n_s, n_s), (n_s, n_i), (n_i, n_s), (n_i, n_i)]:
             raise ValueError("inconsistent block shapes")
+        full = np.empty((n_s + n_i, n_s + n_i), dtype=np.complex128)
+        full[:n_s, :n_s], full[:n_s, n_s:], full[n_s:, :n_s], full[n_s:, n_s:] = blocks
+        self._hold(full, n_s, n_i)
 
-    @property
-    def n_s(self) -> int:
-        return self.ss.shape[0]
-
-    @property
-    def n_i(self) -> int:
-        return self.ii.shape[0]
-
-    @cached_property
-    def full(self) -> np.ndarray:
-        top, bottom = np.concatenate((self.ss, self.si), 1), np.concatenate((self.is_, self.ii), 1)
-        return _block(np.concatenate((top, bottom)))  # np.block costs 4x as much here
-
-    @staticmethod
-    def from_full(matrix, n_s: int, n_i: int) -> "ScatteringMatrix":
-        matrix = _block(matrix)
-        if matrix.shape != (n_s + n_i, n_s + n_i):
-            raise ValueError("full matrix shape does not match path counts")
-        return ScatteringMatrix(
-            matrix[:n_s, :n_s], matrix[:n_s, n_s:], matrix[n_s:, :n_s], matrix[n_s:, n_s:]
+    def _hold(self, full: np.ndarray, n_s: int, n_i: int) -> None:
+        full.setflags(write=False)
+        vars(self).update(
+            full=full, n_s=n_s, n_i=n_i,
+            ss=full[:n_s, :n_s], si=full[:n_s, n_s:], is_=full[n_s:, :n_s], ii=full[n_s:, n_s:],
         )
 
-    @staticmethod
-    def identity(n_s: int, n_i: int) -> "ScatteringMatrix":
-        return ScatteringMatrix.from_full(np.eye(n_s + n_i), n_s, n_i)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    @classmethod
+    def _wrap(cls, full: np.ndarray, n_s: int, n_i: int):
+        """Adopt a freshly computed complex ``full`` without copying it."""
+        out = cls.__new__(cls)
+        out._hold(full, n_s, n_i)
+        return out
+
+    @classmethod
+    def from_full(cls, matrix, n_s: int, n_i: int):
+        full = np.array(matrix, dtype=np.complex128)  # a copy: the caller's array is never frozen
+        if full.shape != (n_s + n_i, n_s + n_i):
+            raise ValueError("full matrix shape does not match path counts")
+        return cls._wrap(full, n_s, n_i)
+
+    @classmethod
+    def identity(cls, n_s: int, n_i: int):
+        return cls._wrap(np.eye(n_s + n_i, dtype=np.complex128), n_s, n_i)
+
+
+class ScatteringMatrix(_TwoPort):
+    """Blocks mapping (signal, idler) inputs to (signal, idler) outputs."""
 
 
 def unitarity_defect(matrix: ScatteringMatrix | np.ndarray) -> float:
@@ -106,9 +100,22 @@ def star(first: ScatteringMatrix, second: ScatteringMatrix) -> ScatteringMatrix:
     through_s = second.ss @ _solve(loop_s, rhs_s, "signal-side cavity loop")
     rhs_i = np.concatenate((second.is_ @ first.ss, second.ii), 1)
     through_i = first.ii @ _solve(loop_i, rhs_i, "idler-side cavity loop")
-    return ScatteringMatrix(
-        through_s[:, :n_s], second.si + through_s[:, n_s:], first.is_ + through_i[:, :n_s], through_i[:, n_s:]
-    )
+    full = np.concatenate((through_s, through_i))
+    full[:n_s, n_s:] += second.si
+    full[n_s:, :n_s] += first.is_
+    return ScatteringMatrix._wrap(full, n_s, first.n_i)
+
+
+def _coupler(cls, diagonal: float, to_signal: float, to_idler: float, s_path, i_path, n_s: int, n_i: int):
+    """Identity two-port except where signal path ``s_path`` meets idler path ``i_path``."""
+    if not (0 <= s_path < n_s and 0 <= i_path < n_i):
+        raise ValueError(f"paths ({s_path}, {i_path}) are outside {n_s} signal and {n_i} idler paths")
+    full = np.eye(n_s + n_i, dtype=np.complex128)
+    idler = n_s + i_path
+    full[s_path, s_path] = full[idler, idler] = diagonal
+    full[s_path, idler] = to_signal
+    full[idler, s_path] = to_idler
+    return cls.from_full(full, n_s, n_i)
 
 
 def hypothetical_bs(r: float, s_path: int, i_path: int, n_s: int, n_i: int) -> ScatteringMatrix:
@@ -117,17 +124,8 @@ def hypothetical_bs(r: float, s_path: int, i_path: int, n_s: int, n_i: int) -> S
     Transmittance sech(r) on the coupled signal and idler paths,
     reflectance tanh(r) from idler to signal, minus tanh(r) back.
     """
-    t = 1.0 / math.cosh(r)
     refl = math.tanh(r)
-    ss = np.eye(n_s, dtype=np.complex128)
-    ii = np.eye(n_i, dtype=np.complex128)
-    si = np.zeros((n_s, n_i), dtype=np.complex128)
-    is_ = np.zeros((n_i, n_s), dtype=np.complex128)
-    ss[s_path, s_path] = t
-    ii[i_path, i_path] = t
-    si[s_path, i_path] = refl
-    is_[i_path, s_path] = -refl
-    return ScatteringMatrix(ss, si, is_, ii)
+    return _coupler(ScatteringMatrix, 1.0 / math.cosh(r), refl, -refl, s_path, i_path, n_s, n_i)
 
 
 # ---------------------------------------------------------------------------
@@ -135,48 +133,15 @@ def hypothetical_bs(r: float, s_path: int, i_path: int, n_s: int, n_i: int) -> S
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(_TwoPort):
     """Blocks mapping (signal in, idler out) to (signal out, idler in)."""
 
-    ss: np.ndarray
-    si: np.ndarray
-    is_: np.ndarray
-    ii: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "ss", _block(self.ss))
-        object.__setattr__(self, "si", _block(self.si))
-        object.__setattr__(self, "is_", _block(self.is_))
-        object.__setattr__(self, "ii", _block(self.ii))
-        n_s, n_i = self.n_s, self.n_i
-        if self.si.shape != (n_s, n_i) or self.is_.shape != (n_i, n_s) or self.ii.shape != (n_i, n_i):
-            raise ValueError("inconsistent block shapes")
-
-    @property
-    def n_s(self) -> int:
-        return self.ss.shape[0]
-
-    @property
-    def n_i(self) -> int:
-        return self.ii.shape[0]
-
-    @cached_property
-    def full(self) -> np.ndarray:
-        top, bottom = np.concatenate((self.ss, self.si), 1), np.concatenate((self.is_, self.ii), 1)
-        return _block(np.concatenate((top, bottom)))  # np.block costs 4x as much here
-
-    @staticmethod
-    def identity(n_s: int, n_i: int) -> "TransferMatrix":
-        eye = np.eye(n_s + n_i, dtype=np.complex128)
-        return TransferMatrix(eye[:n_s, :n_s], eye[:n_s, n_s:], eye[n_s:, :n_s], eye[n_s:, n_s:])
-
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
+        if not isinstance(other, TransferMatrix):
+            return NotImplemented
         if self.n_s != other.n_s or self.n_i != other.n_i:
             raise ValueError("path counts disagree")
-        prod = self.full @ other.full
-        n_s = self.n_s
-        return TransferMatrix(prod[:n_s, :n_s], prod[:n_s, n_s:], prod[n_s:, :n_s], prod[n_s:, n_s:])
+        return TransferMatrix._wrap(self.full @ other.full, self.n_s, self.n_i)
 
 
 def scattering_to_transfer(matrix: ScatteringMatrix) -> TransferMatrix:
@@ -189,29 +154,20 @@ def scattering_to_transfer(matrix: ScatteringMatrix) -> TransferMatrix:
 
 def bs_transfer(r: float, s_path: int, i_path: int, n_s: int, n_i: int) -> TransferMatrix:
     """Transfer matrix of one pair source: cosh on the diagonal, sinh across."""
-    ss = np.eye(n_s, dtype=np.complex128)
-    ii = np.eye(n_i, dtype=np.complex128)
-    si = np.zeros((n_s, n_i), dtype=np.complex128)
-    is_ = np.zeros((n_i, n_s), dtype=np.complex128)
-    ss[s_path, s_path] = math.cosh(r)
-    ii[i_path, i_path] = math.cosh(r)
-    si[s_path, i_path] = math.sinh(r)
-    is_[i_path, s_path] = math.sinh(r)
-    return TransferMatrix(ss, si, is_, ii)
+    return _coupler(TransferMatrix, math.cosh(r), math.sinh(r), math.sinh(r), s_path, i_path, n_s, n_i)
 
 
 def linear_transfer(unitary: np.ndarray, side: str, n_s: int, n_i: int) -> TransferMatrix:
     """Transfer matrix of a one-sided linear network (idler side conjugated)."""
-    unitary = _block(unitary)
-    ss = np.eye(n_s, dtype=np.complex128)
-    ii = np.eye(n_i, dtype=np.complex128)
-    if side == "s":
-        ss = unitary
-    elif side == "i":
-        ii = unitary.conj()
-    else:
+    if side not in ("s", "i"):
         raise ValueError("side must be 's' or 'i'")
-    return TransferMatrix(ss, np.zeros((n_s, n_i)), np.zeros((n_i, n_s)), ii)
+    unitary = np.asarray(unitary)
+    full = np.eye(n_s + n_i, dtype=np.complex128)
+    block = full[:n_s, :n_s] if side == "s" else full[n_s:, n_s:]
+    if unitary.shape != block.shape:
+        raise ValueError(f"unitary of shape {unitary.shape} does not fit side {side!r}")
+    block[...] = unitary if side == "s" else unitary.conj()
+    return TransferMatrix.from_full(full, n_s, n_i)
 
 
 def symplectic_defect(matrix: TransferMatrix) -> float:

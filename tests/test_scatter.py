@@ -43,14 +43,33 @@ def test_identity_is_neutral_for_star():
 
 
 def test_full_matrix_is_built_once_and_read_only():
-    (factor,) = random_scatterings(5, 1)
-    transfer = circuit_transfer(Circuit(2, 2, (Pdc(0, 1, 0.4),)))
-    for matrix in (factor, transfer):
+    given = haar(3, 5)
+    blocks = (given[:2, :2], given[:2, 2:], given[2:, :2], given[2:, 2:])
+    source = scatter.bs_transfer(0.4, 1, 0, 2, 1)
+    matrices = [
+        scatter.ScatteringMatrix(*blocks),
+        scatter.TransferMatrix(*blocks),
+        scatter.ScatteringMatrix.from_full(given, 2, 1),
+        scatter.TransferMatrix.from_full(given, 2, 1),
+        scatter.ScatteringMatrix.identity(2, 1),
+        scatter.TransferMatrix.identity(2, 1),
+        scatter.hypothetical_bs(0.4, 1, 0, 2, 1),
+        source,
+        scatter.linear_transfer(haar(1, 6), "i", 2, 1),
+        scatter.star(*random_scatterings(5, 2, 2, 1)),
+        source @ scatter.linear_transfer(haar(2, 7), "s", 2, 1),
+        circuit_transfer(Circuit(2, 2, (Pdc(0, 1, 0.4),))),
+    ]
+    for matrix in matrices:
         assert matrix.full is matrix.full
         with pytest.raises(ValueError):
             matrix.full[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            matrix.ss[0, 0] = 0.0
+        for block in (matrix.ss, matrix.si, matrix.is_, matrix.ii):
+            assert np.shares_memory(block, matrix.full)
+            assert not block.flags.writeable
+        with pytest.raises(AttributeError):
+            matrix.ss = matrix.ii
+    given[0, 0] = 0.0  # from_full copied it
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -198,3 +217,22 @@ def test_transfer_determinant_has_unit_modulus():
 def test_block_shape_validation():
     with pytest.raises(ValueError):
         scatter.ScatteringMatrix(np.eye(2), np.eye(2), np.eye(2), np.eye(3))
+    with pytest.raises(ValueError):
+        scatter.TransferMatrix(np.eye(2), np.zeros((2, 1)), np.zeros((2, 1)), np.eye(1))
+    with pytest.raises(ValueError):
+        scatter.ScatteringMatrix.from_full(np.eye(3), 2, 2)
+    with pytest.raises(ValueError):
+        scatter.linear_transfer(np.eye(1), "i", 2, 2)
+
+
+@pytest.mark.parametrize("builder", [scatter.hypothetical_bs, scatter.bs_transfer])
+@pytest.mark.parametrize("s_path,i_path", [(-1, 0), (2, 0), (0, -1), (0, 1)])
+def test_pair_source_paths_are_checked(builder, s_path, i_path):
+    with pytest.raises(ValueError):
+        builder(0.5, s_path, i_path, 2, 1)
+
+
+def test_transfer_product_takes_only_transfer_matrices():
+    transfer = scatter.bs_transfer(0.5, 0, 0, 1, 1)
+    with pytest.raises(TypeError):
+        transfer @ scatter.hypothetical_bs(0.5, 0, 0, 1, 1)
