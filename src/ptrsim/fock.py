@@ -14,7 +14,7 @@ Every element acts block-diagonally on the truncated basis, and
   depend on the gain, so one cached eigendecomposition per (|n_s - n_i|,
   length) gives the exponential at every gain; it acts in factored form.
 * a one-sided linear network conserves the photon number k on its side; one
-  k-photon block (exp of its lifted Hermitian log) serves every other side.
+  k-photon block, built photon by photon from the unitary, serves every other side.
 * a diagonal network (a phase plate) multiplies each state by a phase.
 
 Blocks act by gather, matrix products and scatter.  Truncation is
@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal, schur
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import DimensionOverflowError, TruncationLeakError
 
@@ -444,41 +444,35 @@ def _apply_ladders(block: np.ndarray, idx: np.ndarray, diff: int, r: float) -> N
     block[idx] = ((vectors @ modes.view(np.float64)).view(np.complex128) * turns).reshape(rows.shape)
 
 
-def _hermitian_log(unitary: np.ndarray) -> np.ndarray:
-    """Hermitian H with exp(iH) = ``unitary``, from its Schur form.
+@lru_cache(maxsize=512)
+def _photon_plan(n_modes: int, photons: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rank[p, i] of p - e_i among the (k-1)-photon patterns (a sentinel one
+    past the last where p_i = 0) and root[p, i] = sqrt(p_i), over the k-photon patterns p."""
+    patterns, fewer = _compositions(n_modes, photons), _compositions(n_modes, photons - 1)
+    lowered = np.maximum(patterns[:, None, :] - np.eye(n_modes, dtype=np.int64), 0)  # p_i = 0 stays p
+    rank = np.searchsorted(_lex_rank(fewer, photons), _lex_rank(lowered.reshape(-1, n_modes), photons))
+    rank = np.where(patterns > 0, rank.reshape(patterns.shape), len(fewer))
+    return _frozen(rank), _frozen(np.sqrt(patterns))
 
-    A unitary is normal, so its complex Schur form is diagonal and the
-    Schur vectors are eigenvectors.
+
+def _lifted_blocks(unitary: np.ndarray, top: int) -> list[np.ndarray]:
+    """Blocks B_k[p, q] = <p| U |q> of the lifted ``unitary``, k = 0..top, patterns of :func:`_compositions`.
+
+    U a+_j U^-1 = sum_i U_ij a+_i adds a photon on each side; averaged over the k photons of q,
+    B_k[p, q] = (1/k) sum_ij sqrt(p_i q_j) U_ij B_{k-1}[p - e_i, q - e_j].  The average keeps
+    the blocks unitary to roundoff at large k, where peeling a fixed photon of q loses digits.
     """
-    diagonal, vectors = schur(unitary, output="complex")
-    return (vectors * np.angle(np.diagonal(diagonal))) @ vectors.conj().T
-
-
-@lru_cache(maxsize=128)
-def _hops(n_modes: int, photons: int) -> tuple[np.ndarray, ...]:
-    """One-body hops a+_j a_l (j != l) among the k-photon patterns, read-only.
-
-    Returns the float patterns of :func:`_compositions` and, per hop, the
-    source pattern p, the modes j and l, the destination pattern and the
-    matrix element sqrt(p_l (p_j + 1)).
-    """
-    patterns = _compositions(n_modes, photons)
-    eye = np.eye(n_modes, dtype=np.int64)
-    # a+_j a_l takes pattern p to p + e_j - e_l, for j != l and p_l > 0
-    p, j, l = np.nonzero((patterns[:, None, :] > 0) & (eye == 0))
-    hopped = patterns[p] + eye[j] - eye[l]
-    dst = np.searchsorted(_lex_rank(patterns, photons), _lex_rank(hopped, photons))
-    factors = np.sqrt(patterns[p, l] * (patterns[p, j] + 1.0))
-    return tuple(_frozen(a) for a in (patterns.astype(np.float64), p, j, l, dst, factors))
-
-
-def _lifted_exp(generator: np.ndarray, photons: int) -> np.ndarray:
-    """k-photon block of exp(i sum_jl H_jl a+_j a_l), patterns as in :func:`_compositions`."""
-    patterns, p, j, l, dst, factors = _hops(len(generator), photons)
-    lifted = np.diag((patterns @ np.diagonal(generator)).astype(np.complex128))
-    lifted[dst, p] = generator[j, l] * factors
-    values, vectors = np.linalg.eigh(lifted)
-    return (vectors * np.exp(1j * values)) @ vectors.conj().T
+    n_modes = len(unitary)
+    blocks = [np.ones((1, 1), dtype=np.complex128)]
+    for k in range(1, top + 1):
+        rank, root = _photon_plan(n_modes, k)
+        prev = np.zeros((len(blocks[-1]) + 1,) * 2, dtype=np.complex128)
+        prev[:-1, :-1] = blocks[-1]  # the zero row and column are the sentinel
+        # mixed[i, r, q] = sum_j U_ij sqrt(q_j) B_{k-1}[r, q - e_j], one matmul over j
+        mixed = unitary @ (prev[:, rank] * root).reshape(-1, n_modes).T
+        mixed = mixed.reshape(n_modes, len(prev), len(rank))
+        blocks.append(sum(root[:, i, None] * mixed[i][rank[:, i]] for i in range(n_modes)) / k)
+    return blocks
 
 
 def _apply_block(block: np.ndarray, idx: np.ndarray, matrix: np.ndarray) -> None:
@@ -493,9 +487,10 @@ def _apply_unitary(space: FockSpace, lo: int, hi: int, matrix: np.ndarray, block
     if np.count_nonzero(matrix) == np.count_nonzero(phases):  # diagonal: a phase per state
         block *= np.exp(1j * (space._occupations(lo, hi) @ np.angle(phases)))[:, None]
         return
-    generator = _hermitian_log(matrix)
-    for photons, idx in space._number_blocks(lo, hi):
-        _apply_block(block, idx, _lifted_exp(generator, photons))
+    plan = space._number_blocks(lo, hi)
+    blocks = _lifted_blocks(matrix, plan[-1][0] if plan else 0)
+    for photons, idx in plan:
+        _apply_block(block, idx, blocks[photons])
 
 
 def _apply_element(space: FockSpace, element, block: np.ndarray) -> None:

@@ -45,6 +45,8 @@ class _TwoPort:
         self._hold(full, n_s, n_i)
 
     def _hold(self, full: np.ndarray, n_s: int, n_i: int) -> None:
+        if n_s < 1 or n_i < 1:
+            raise ValueError("need at least one signal and one idler path")
         full.setflags(write=False)
         vars(self).update(
             full=full, n_s=n_s, n_i=n_i,
@@ -53,6 +55,9 @@ class _TwoPort:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __reduce__(self):  # copies and pickles rebuild the read-only full matrix and its views
+        return type(self).from_full, (self.full, self.n_s, self.n_i)
 
     @classmethod
     def _wrap(cls, full: np.ndarray, n_s: int, n_i: int):

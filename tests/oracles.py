@@ -26,27 +26,24 @@ def lowering(cutoff: int) -> np.ndarray:
 
 
 def lift_one_body(coefficients: np.ndarray, cutoff: int) -> np.ndarray:
-    """Sum_jk coefficients[j, k] a+_j a_k as a dense matrix on the product space."""
+    """Sum_jk coefficients[j, k] a+_j a_k as a dense matrix on the product space.
+
+    Each term is one Kronecker product of single-mode factors: a+ on mode j
+    and a on mode k, or a+ a on mode j when j == k.
+    """
     coefficients = np.asarray(coefficients, dtype=np.complex128)
     n_modes = coefficients.shape[0]
     a = lowering(cutoff)
     eye = np.eye(cutoff + 1, dtype=np.complex128)
     dim = (cutoff + 1) ** n_modes
     out = np.zeros((dim, dim), dtype=np.complex128)
-
-    def mode_op(op: np.ndarray, mode: int) -> np.ndarray:
-        factors = [eye] * n_modes
-        factors[mode] = op
-        result = factors[0]
-        for factor in factors[1:]:
-            result = np.kron(result, factor)
-        return result
-
-    ops = [mode_op(a, m) for m in range(n_modes)]
     for j in range(n_modes):
         for k in range(n_modes):
             if coefficients[j, k] != 0:
-                out += coefficients[j, k] * (ops[j].conj().T @ ops[k])
+                factors = [eye] * n_modes
+                factors[j] = a.conj().T
+                factors[k] = a.conj().T @ a if j == k else a
+                out += coefficients[j, k] * functools.reduce(np.kron, factors)
     return out
 
 
@@ -90,6 +87,16 @@ def two_mode_squeeze_amplitude(
     return complex(unitary[row, col])
 
 
+def lifted_unitary(unitary: np.ndarray, cutoff: int) -> np.ndarray:
+    """A passive network on the product space of ``cutoff + 1`` levels per mode.
+
+    The exponential of the lifted matrix log; exact on every occupation
+    whose total photon number is at most ``cutoff``.
+    """
+    generator = scipy.linalg.logm(np.asarray(unitary, dtype=np.complex128))
+    return scipy.linalg.expm(lift_one_body(generator, cutoff))
+
+
 def linear_network_amplitude(
     unitary: np.ndarray,
     input_occ: tuple[int, ...],
@@ -97,12 +104,9 @@ def linear_network_amplitude(
     cutoff: int | None = None,
 ) -> complex:
     """<output| U |input> for a passive network, via the lifted matrix log."""
-    unitary = np.asarray(unitary, dtype=np.complex128)
     if cutoff is None:
         cutoff = max(sum(input_occ), sum(output_occ), 1)
-    generator = scipy.linalg.logm(unitary)
-    lifted = lift_one_body(generator, cutoff)
-    evolved = scipy.linalg.expm(lifted)
+    evolved = lifted_unitary(unitary, cutoff)
     row = product_index(tuple(output_occ), cutoff)
     col = product_index(tuple(input_occ), cutoff)
     return complex(evolved[row, col])

@@ -4,6 +4,7 @@ import ast
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +136,61 @@ def test_ladder_modes_are_cached_read_only():
     for array in (values, vectors):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+#: (modes, largest photon number): for 1-4 modes the largest k with (k + 1)^modes
+#: <= 1300, the size of the dense product space, and 5 modes at k <= 3
+KRON_CASES = [(1, 1299), (2, 35), (3, 9), (4, 5), (5, 3)]
+
+
+@pytest.mark.parametrize("n_modes,top", KRON_CASES)
+def test_lifted_blocks_match_kronecker_oracle(n_modes, top):
+    unitary = haar(n_modes, 40 + n_modes)
+    dense = oracles.lifted_unitary(unitary, top)
+    blocks = fock._lifted_blocks(unitary, top)
+    # one mode: the oracle's own expm is 1.2e-12 off the 40-digit u^k at k = 1299
+    tol = 2e-12 if n_modes == 1 else 1e-12
+    for k in range(top + 1):
+        index = [oracles.product_index(p, top) for p in fock.occupations_with_total(n_modes, k)]
+        assert np.max(np.abs(blocks[k] - dense[np.ix_(index, index)])) <= tol, k
+    if n_modes == 1:
+        with mpmath.workdps(40):
+            powers = [complex(mpmath.mpc(complex(unitary[0, 0])) ** k) for k in range(top + 1)]
+        assert max(abs(blocks[k][0, 0] - powers[k]) for k in range(top + 1)) <= 1e-13
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lifted_blocks_stay_unitary_at_high_photon_numbers(seed):
+    # two-mode sides reach k ~ 97 at caps 128-192; a recursion that peels one
+    # fixed photon of the input loses digits geometrically in k
+    blocks = fock._lifted_blocks(haar(2, seed), 192)
+    for k in (64, 128, 192):
+        assert np.max(np.abs(blocks[k].conj().T @ blocks[k] - np.eye(k + 1))) <= 1e-12, k
+
+
+def test_photon_plans_are_cached_read_only():
+    rank, root = fock._photon_plan(3, 4)
+    assert fock._photon_plan(3, 4)[0] is rank
+    fewer = fock.occupations_with_total(3, 3)
+    for p, pattern in enumerate(fock.occupations_with_total(3, 4)):
+        for i, count in enumerate(pattern):
+            lowered = tuple(n - (j == i) for j, n in enumerate(pattern))
+            assert rank[p, i] == (fewer.index(lowered) if count else len(fewer))
+            assert root[p, i] == math.sqrt(count)
+    for array in (rank, root):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+
+
+@pytest.mark.parametrize("cap,delta", [(6, 0), (6, 2)])
+def test_four_plus_four_linear_networks_match_dense_oracle(cap, delta):
+    # the amp benchmark's largest class; the property test stops at 3 paths per side
+    networks = [LinearS(haar(4, 21)), LinearI(haar(4, 22)), LinearS(haar(4, 23)), LinearI(haar(4, 24))]
+    circuit = Circuit(4, 4, (*networks[:2], Pdc(1, 2, 0.9), *networks[2:]))
+    space = fock.FockSpace(4, 4, cap, delta=delta)
+    block = np.eye(space.dimension, dtype=np.complex128)
+    got = fock.apply_circuit(circuit, space, block, leak_tol=None)
+    assert np.max(np.abs(got - oracles.nonlinear_operator(circuit, space))) <= 1e-12
 
 
 def test_leak_guard_regression():

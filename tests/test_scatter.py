@@ -1,6 +1,8 @@
 """Scattering composition, transfer conversion, and their invariants."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -223,6 +225,36 @@ def test_block_shape_validation():
         scatter.ScatteringMatrix.from_full(np.eye(3), 2, 2)
     with pytest.raises(ValueError):
         scatter.linear_transfer(np.eye(1), "i", 2, 2)
+
+
+#: two-ports with fewer than one signal or one idler path
+BELOW_ONE_PATH = {
+    "from_full-1+3": lambda cls: cls.from_full(np.eye(2), -1, 3),
+    "from_full2+0": lambda cls: cls.from_full(np.eye(2), 2, 0),
+    "identity0+2": lambda cls: cls.identity(0, 2),
+    "identity2+0": lambda cls: cls.identity(2, 0),
+    "blocks0+2": lambda cls: cls(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("cls", [scatter.ScatteringMatrix, scatter.TransferMatrix])
+@pytest.mark.parametrize("make", BELOW_ONE_PATH.values(), ids=list(BELOW_ONE_PATH))
+def test_path_counts_below_one_are_refused(cls, make):
+    with pytest.raises(ValueError, match="at least one signal and one idler path"):
+        make(cls)
+
+
+@pytest.mark.parametrize(
+    "copy_of", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_copies_keep_one_read_only_full_matrix(copy_of):
+    for matrix in (scatter.hypothetical_bs(0.3, 0, 0, 1, 1), scatter.bs_transfer(0.3, 1, 0, 2, 1)):
+        twin = copy_of(matrix)
+        assert type(twin) is type(matrix) and (twin.n_s, twin.n_i) == (matrix.n_s, matrix.n_i)
+        assert np.array_equal(twin.full, matrix.full)
+        assert not twin.full.flags.writeable
+        for block in (twin.ss, twin.si, twin.is_, twin.ii):
+            assert np.shares_memory(block, twin.full)
 
 
 @pytest.mark.parametrize("builder", [scatter.hypothetical_bs, scatter.bs_transfer])
