@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -63,9 +64,8 @@ class OccupationVector:
     i_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for counts in (self.s_counts, self.i_counts):
-            if counts and min(counts) < 0:
-                raise ValueError(f"occupation counts must be nonnegative, got {counts}")
+        _nonnegative(self.s_counts)
+        _nonnegative(self.i_counts)
 
     @property
     def total_s(self) -> int:
@@ -89,19 +89,36 @@ class OccupationVector:
         return self.s_counts + self.i_counts
 
 
-def as_occupation(value, n_s_paths: int, n_i_paths: int) -> OccupationVector:
-    """Coerce ``value`` (OccupationVector or pair of sequences) and check path counts."""
+def _nonnegative(counts: tuple[int, ...]) -> None:
+    if counts and min(counts) < 0:
+        raise ValueError(f"occupation counts must be nonnegative, got {counts}")
+
+
+def _occupation_counts(value, n_s_paths: int, n_i_paths: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Checked (signal, idler) count tuples of ``value``: integers, none negative, on the given paths."""
     if isinstance(value, OccupationVector):
-        occ = value
+        s_counts, i_counts = value.s_counts, value.i_counts
     else:
         s_counts, i_counts = value
-        occ = OccupationVector(tuple(int(n) for n in s_counts), tuple(int(n) for n in i_counts))
-    if len(occ.s_counts) != n_s_paths or len(occ.i_counts) != n_i_paths:
+        try:
+            s_counts, i_counts = tuple(map(operator.index, s_counts)), tuple(map(operator.index, i_counts))
+        except TypeError:
+            bad = next(n for n in (*s_counts, *i_counts) if not isinstance(n, (int, np.integer)))
+            raise ValueError(f"occupation counts must be integers, got {bad!r}") from None
+        _nonnegative(s_counts)
+        _nonnegative(i_counts)
+    if len(s_counts) != n_s_paths or len(i_counts) != n_i_paths:
         raise ValueError(
-            f"occupation has {len(occ.s_counts)}+{len(occ.i_counts)} paths, "
+            f"occupation has {len(s_counts)}+{len(i_counts)} paths, "
             f"expected {n_s_paths}+{n_i_paths}"
         )
-    return occ
+    return s_counts, i_counts
+
+
+def as_occupation(value, n_s_paths: int, n_i_paths: int) -> OccupationVector:
+    """Coerce ``value`` (OccupationVector or pair of sequences) and check it."""
+    counts = _occupation_counts(value, n_s_paths, n_i_paths)
+    return value if isinstance(value, OccupationVector) else OccupationVector(*counts)
 
 
 def _compositions(n_modes: int, total: int) -> np.ndarray:

@@ -4,9 +4,12 @@ Postselected Fock amplitudes of a linear network are permanents of the
 network's submatrix over the occupied modes, rows and columns repeated by
 their counts.  Ryser's formula is summed over the repeats, with each
 distinct row raised to the power of its multiplicity, so the dual arm
-never builds the repeated submatrix.  The verifier pits those amplitudes,
-scaled by the normalization coefficient of the dual setup, against
-brute-force truncated Fock-space amplitudes of the nonlinear circuit.
+never builds the repeated submatrix.  The amplitudes work on plain count
+tuples from the one occupation check in :mod:`fock` on; an
+:class:`~ptrsim.fock.OccupationVector` is built only where a report holds
+one.  The verifier pits those amplitudes, scaled by the normalization
+coefficient of the dual setup, against brute-force truncated Fock-space
+amplitudes of the nonlinear circuit, ranking each occupation once per call.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +42,7 @@ def _multiplicities(matrix: np.ndarray) -> tuple[list[int], tuple[int, ...]]:
 
 
 def _terms(multiplicities: tuple[int, ...]) -> int:
-    return math.prod(m + 1 for m in multiplicities)
+    return math.prod([m + 1 for m in multiplicities])
 
 
 def _ryser_grid(multiplicities: tuple[int, ...], start: int, stop: int):
@@ -74,13 +78,16 @@ def _repeated_permanent(distinct: np.ndarray, row_mult: tuple[int, ...], col_mul
     """
     row_terms, terms = _terms(row_mult), _terms(col_mult)
     if row_terms < terms:
-        distinct, row_mult, col_mult, terms = distinct.T, col_mult, row_mult, row_terms
-    powers = np.array(row_mult)[:, None]
+        distinct, row_mult, col_mult = distinct.T, col_mult, row_mult
+        row_terms, terms = terms, row_terms
+    # prod(m + 1) is 2^rows only if no row repeats; every power is then 1 and is skipped
+    powers = None if row_terms == 1 << len(row_mult) else np.array(row_mult)[:, None]
     grid_of = _cached_ryser_grid if terms <= RYSER_CHUNK else _ryser_grid
     total = 0.0 + 0.0j
     for start in range(0, terms, RYSER_CHUNK):
         grid, weights = grid_of(col_mult, start, min(start + RYSER_CHUNK, terms))
-        total += np.multiply.reduce((distinct @ grid) ** powers, axis=0) @ weights
+        sums = distinct.dot(grid)
+        total += np.multiply.reduce(sums if powers is None else sums ** powers, axis=0).dot(weights)
     return complex(total)
 
 
@@ -112,10 +119,11 @@ def _counts_amplitude(matrix: np.ndarray, in_counts: tuple[int, ...], out_counts
         raise DimensionOverflowError(f"permanent of size {photons} exceeds {MAX_PERMANENT_SIZE}")
     if photons == 0:
         return 1.0 + 0.0j
-    cols, rows = [j for j, n in enumerate(in_counts) if n], [r for r, n in enumerate(out_counts) if n]
-    col_mult, row_mult = tuple(in_counts[j] for j in cols), tuple(out_counts[r] for r in rows)
-    norm = math.prod(_FACTORIALS[n] for n in col_mult + row_mult)
-    return _repeated_permanent(matrix[rows][:, cols], row_mult, col_mult) / math.sqrt(norm)
+    cols = list(compress(range(len(in_counts)), in_counts))
+    rows = list(compress(range(len(out_counts)), out_counts))
+    col_mult, row_mult = tuple(filter(None, in_counts)), tuple(filter(None, out_counts))
+    norm = math.prod(map(_FACTORIALS.__getitem__, col_mult + row_mult))
+    return _repeated_permanent(matrix.take(rows, 0).take(cols, 1), row_mult, col_mult) / math.sqrt(norm)
 
 
 def linear_fock_amplitude(network: ScatteringMatrix, input_occ, output_occ) -> complex:
@@ -125,9 +133,9 @@ def linear_fock_amplitude(network: ScatteringMatrix, input_occ, output_occ) -> c
     (signal, idler) path index; occupations repeat its columns (input) and
     rows (output).  Zero when the total photon number changes.
     """
-    in_counts = fock.as_occupation(input_occ, network.n_s, network.n_i).key()
-    out_counts = fock.as_occupation(output_occ, network.n_s, network.n_i).key()
-    return _counts_amplitude(network.full, in_counts, out_counts)
+    in_s, in_i = fock._occupation_counts(input_occ, network.n_s, network.n_i)
+    out_s, out_i = fock._occupation_counts(output_occ, network.n_s, network.n_i)
+    return _counts_amplitude(network.full, in_s + in_i, out_s + out_i)
 
 
 def ptr_postselection_amplitude(setup: PtrSetup, input_occ, output_occ) -> complex:
@@ -139,13 +147,11 @@ def ptr_postselection_amplitude(setup: PtrSetup, input_occ, output_occ) -> compl
     coefficients, so no conjugation appears.
     """
     n_s, n_i = setup.scattering.n_s, setup.scattering.n_i
-    input_occ = fock.as_occupation(input_occ, n_s, n_i)
-    output_occ = fock.as_occupation(output_occ, n_s, n_i)
-    if input_occ.difference != output_occ.difference:
+    s_in, i_in = fock._occupation_counts(input_occ, n_s, n_i)
+    s_out, i_out = fock._occupation_counts(output_occ, n_s, n_i)
+    if sum(s_in) - sum(i_in) != sum(s_out) - sum(i_out):
         return 0.0 + 0.0j
-    swapped_in = input_occ.s_counts + output_occ.i_counts
-    swapped_out = output_occ.s_counts + input_occ.i_counts
-    return setup.nc * _counts_amplitude(setup.scattering.full, swapped_in, swapped_out)
+    return setup.nc * _counts_amplitude(setup.scattering.full, s_in + i_out, s_out + i_in)
 
 
 @dataclass(frozen=True)
@@ -178,12 +184,13 @@ class DualityReport:
         return float(np.max([c.rel_residual for c in self.comparisons], initial=0.0))
 
 
-def _basis_rows(space: fock.FockSpace, occupations: Sequence[OccupationVector]) -> np.ndarray:
-    """Basis index of every occupation; all must lie inside the truncated basis."""
-    rows = space.indices([occ.key() for occ in occupations])
-    missing = np.flatnonzero(rows < 0)
+def _basis_rows(space: fock.FockSpace, codes: np.ndarray, picks: np.ndarray, occupations) -> np.ndarray:
+    """Basis index of the occupations ``picks``, ranked in ``codes``; all must lie inside the basis."""
+    wanted = codes[picks]
+    rows = np.searchsorted(space._codes, wanted)
+    missing = np.flatnonzero(space._codes.take(rows, mode="clip") != wanted)
     if missing.size:
-        raise ValueError(f"{occupations[missing[0]]} is not in this truncated basis")
+        raise ValueError(f"{occupations[picks[missing[0]]]} is not in this truncated basis")
     return rows
 
 
@@ -222,14 +229,12 @@ def verify_duality(
         raise ValueError(f"photon cap {photon_cap} is below the photon budget {photon_budget}")
     setup = ptr.build_ptr(circuit)
     n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
-    occupations = [OccupationVector(c[:n_s], c[n_s:]) for c in fock.occupations_upto(n_s + n_i, photon_budget)]
+    keys = fock.occupations_upto(n_s + n_i, photon_budget)
+    occupations = [OccupationVector(key[:n_s], key[n_s:]) for key in keys]
+    # every sector space ranks its rows the same way, so rank the occupations once
+    codes = fock._lex_rank(np.array(keys, dtype=np.int64), photon_cap)
     differences = [occ.difference for occ in occupations]
-    pairs = [
-        (occ_in, occ_out)
-        for occ_in, d_in in zip(occupations, differences)
-        for occ_out, d_out in zip(occupations, differences)
-        if d_in == d_out
-    ]
+    pairs = [(a, b) for a, d_a in enumerate(differences) for b, d_b in enumerate(differences) if d_a == d_b]
     if sample_count is not None and sample_count < len(pairs):
         rng = np.random.default_rng(seed)
         chosen = np.sort(rng.choice(len(pairs), size=sample_count, replace=False))
@@ -237,23 +242,22 @@ def verify_duality(
 
     # one batched evolution per difference sector
     sectors: dict[int, list[int]] = {}
-    for k, (occ_in, _) in enumerate(pairs):
-        sectors.setdefault(occ_in.difference, []).append(k)
+    for k, (a, _) in enumerate(pairs):
+        sectors.setdefault(differences[a], []).append(k)
+    index_pairs = np.array(pairs, dtype=np.intp)
     nonlinear = np.empty(len(pairs), dtype=np.complex128)
     for delta in sorted(sectors):
         members = sectors[delta]
-        sector_inputs = sorted({pairs[k][0] for k in members}, key=OccupationVector.key)
-        col_of = {occ: col for col, occ in enumerate(sector_inputs)}
+        inputs, cols = np.unique(index_pairs[members, 0], return_inverse=True)  # in lexicographic order
         space = fock.sector_space(n_s, n_i, photon_cap, delta, dim_limit=dim_limit)
-        in_rows = _basis_rows(space, sector_inputs)
-        block = np.zeros((space.dimension, len(sector_inputs)), dtype=np.complex128)
-        block[in_rows, np.arange(len(sector_inputs))] = 1.0
+        block = np.zeros((space.dimension, len(inputs)), dtype=np.complex128)
+        block[_basis_rows(space, codes, inputs, occupations), np.arange(len(inputs))] = 1.0
         evolved = fock.apply_circuit(circuit, space, block, leak_tol=leak_tol)
-        out_rows = _basis_rows(space, [pairs[k][1] for k in members])
-        nonlinear[members] = evolved[out_rows, [col_of[pairs[k][0]] for k in members]]
+        nonlinear[members] = evolved[_basis_rows(space, codes, index_pairs[members, 1], occupations), cols]
 
     comparisons = []
-    for (occ_in, occ_out), brute in zip(pairs, nonlinear.tolist()):
+    for (a, b), brute in zip(pairs, nonlinear.tolist()):
+        occ_in, occ_out = occupations[a], occupations[b]
         dual = ptr_postselection_amplitude(setup, occ_in, occ_out)
         abs_res = abs(brute - dual)
         denom = max(abs(brute), abs(dual))  # may drop a NaN amplitude; abs_res keeps it
@@ -273,6 +277,13 @@ def four_photon_awp_amplitude(setup: PtrSetup, s_pair: Sequence[int], i_pair: Se
     low gain the ratio against brute force approaches one like the gain squared.
     """
     coupling = setup.scattering.si
-    s_counts = np.bincount(s_pair, minlength=coupling.shape[0]).tolist()
-    i_counts = np.bincount(i_pair, minlength=coupling.shape[1]).tolist()
+    s_counts, i_counts = _path_counts(s_pair, coupling.shape[0]), _path_counts(i_pair, coupling.shape[1])
     return _counts_amplitude(coupling, i_counts, s_counts)
+
+
+def _path_counts(paths: Sequence[int], n_paths: int) -> list[int]:
+    """Photons on each of ``n_paths`` paths; every entry of ``paths`` must be an integer in range."""
+    bad = [path for path in paths if not (isinstance(path, (int, np.integer)) and 0 <= path < n_paths)]
+    if bad:
+        raise ValueError(f"detection path {bad[0]!r} is not an integer in 0..{n_paths - 1}")
+    return [sum(path == j for path in paths) for j in range(n_paths)]

@@ -308,3 +308,105 @@ def test_four_photon_estimate_matches_submatrix_permanent():
         sub = setup.scattering.si[np.ix_(s_pair, i_pair)]
         expected = oracles.permanent_by_expansion(sub) / math.sqrt(bunching)
         assert np.isclose(estimate, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("s_pair, bad", [((0, 5), "5"), ((0, 1.7), "1.7"), ((0, 1.0), "1.0"), ((-1, 0), "-1")])
+def test_four_photon_estimate_refuses_paths_that_are_not_integers_in_range(s_pair, bad):
+    setup = build_ptr(Circuit(2, 2, (Pdc(0, 0, 0.06), Pdc(1, 1, 0.06))))
+    with pytest.raises(ValueError, match=rf"detection path {bad} is not an integer in 0\.\.1"):
+        linamp.four_photon_awp_amplitude(setup, s_pair, (0, 1))
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.0, np.float64(0.5), math.inf, math.nan])
+def test_occupation_counts_must_be_integers(bad):
+    setup = build_ptr(Circuit(2, 1, (Pdc(0, 0, 0.3),)))
+    with pytest.raises(ValueError, match="occupation counts must be integers, got"):
+        linamp.ptr_postselection_amplitude(setup, ((bad, 0), (0,)), ((1, 0), (0,)))
+    with pytest.raises(ValueError, match="occupation counts must be integers, got"):
+        linamp.linear_fock_amplitude(setup.scattering, ((1, 0), (0,)), ((0, 1), (bad,)))
+    with pytest.raises(ValueError, match="occupation counts must be integers, got"):
+        fock.as_occupation(((bad, 0), (0,)), 2, 1)
+
+
+def test_basis_rows_refuse_an_occupation_outside_the_sector():
+    occupations = [fock.OccupationVector((1, 0), (1,)), fock.OccupationVector((1, 0), (0,))]
+    codes = fock._lex_rank(np.array([occ.key() for occ in occupations]), 6)
+    space = fock.sector_space(2, 1, 6, 0)
+    rows = linamp._basis_rows(space, codes, np.array([0]), occupations)
+    assert rows.tolist() == [space.index(occupations[0])]
+    with pytest.raises(ValueError, match=r"not in this truncated basis"):
+        linamp._basis_rows(space, codes, np.array([0, 1]), occupations)
+
+
+#: the input forms an occupation may take at the library boundary
+OCCUPATION_FORMS = {
+    "tuple": lambda s, i: (tuple(s), tuple(i)),
+    "list": lambda s, i: [list(s), list(i)],
+    "numpy": lambda s, i: (np.array(s, dtype=np.int64), np.array(i, dtype=np.int32)),
+    "occupation": lambda s, i: fock.OccupationVector(tuple(s), tuple(i)),
+}
+
+
+@st.composite
+def setups_and_pairs(draw):
+    """A 1-4 + 1-4 path dual setup with one conserving (input, output) pair of count lists."""
+    n_s, n_i = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    setup = build_ptr(harness.random_circuit(draw(st.integers(0, 2**31 - 1)), n_s, n_i, 2, 0.8))
+    photons = draw(st.integers(0, 6))
+    modes = st.lists(st.integers(0, n_s + n_i - 1), min_size=photons, max_size=photons)
+    swapped_in = np.bincount(draw(modes), minlength=n_s + n_i).tolist()  # s_in + i_out
+    swapped_out = np.bincount(draw(modes), minlength=n_s + n_i).tolist()  # s_out + i_in
+    s_in, i_out = swapped_in[:n_s], swapped_in[n_s:]
+    s_out, i_in = swapped_out[:n_s], swapped_out[n_s:]
+    return setup, (s_in, i_in), (s_out, i_out)
+
+
+def bits(value: complex) -> tuple[str, str]:
+    return value.real.hex(), value.imag.hex()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(setups_and_pairs())
+def test_every_occupation_form_gives_bit_identical_amplitudes(case):
+    setup, occ_in, occ_out = case
+    forms = OCCUPATION_FORMS.values()
+    dual = {bits(linamp.ptr_postselection_amplitude(setup, form(*occ_in), form(*occ_out))) for form in forms}
+    network = setup.scattering
+    linear = {bits(linamp.linear_fock_amplitude(network, form(*occ_in), form(*occ_out))) for form in forms}
+    assert len(dual) == 1 and len(linear) == 1
+
+
+@st.composite
+def setups_and_bad_occupations(draw):
+    """A dual setup and an occupation with a wrong path count on one side or a negative count."""
+    n_s, n_i = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    setup = build_ptr(harness.random_circuit(draw(st.integers(0, 2**31 - 1)), n_s, n_i, 1, 0.5))
+    widths = [n_s, n_i]
+    if draw(st.booleans()):
+        side = draw(st.integers(0, 1))
+        widths[side] = draw(st.integers(0, 5).filter(lambda w: w != widths[side]))
+    s_counts, i_counts = (draw(st.lists(st.integers(0, 3), min_size=w, max_size=w)) for w in widths)
+    if widths == [n_s, n_i]:
+        counts = draw(st.sampled_from([s_counts, i_counts]).filter(len))
+        counts[draw(st.integers(0, len(counts) - 1))] = -draw(st.integers(1, 3))
+    return setup, (s_counts, i_counts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(setups_and_bad_occupations())
+def test_every_occupation_form_is_refused_with_the_same_message(case):
+    setup, bad = case
+    n_s, n_i = setup.scattering.n_s, setup.scattering.n_i
+    good = ((0,) * n_s, (0,) * n_i)
+    messages = set()
+    for form in OCCUPATION_FORMS.values():
+        for call in (
+            lambda: linamp.ptr_postselection_amplitude(setup, form(*bad), good),
+            lambda: linamp.ptr_postselection_amplitude(setup, good, form(*bad)),
+            lambda: linamp.linear_fock_amplitude(setup.scattering, form(*bad), good),
+            lambda: linamp.linear_fock_amplitude(setup.scattering, good, form(*bad)),
+        ):
+            with pytest.raises(ValueError) as refused:
+                call()
+            messages.add(str(refused.value))
+    assert len(messages) == 1
