@@ -26,6 +26,7 @@ from .ptr import Circuit, LinearI, LinearS, Pdc, PhaseI, PhaseS, build_ptr
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_PHOTONS = 4
 DEFAULT_SEED = 0
+DEFAULT_POINTS = 50  # random Q-function probes
 
 EXIT_PASS = 0
 EXIT_RESIDUAL = 1
@@ -211,6 +212,11 @@ def _parse_complex_list(text: str, expected: int, what: str) -> np.ndarray:
     return np.asarray(values, dtype=np.complex128)
 
 
+def _seed(args) -> int:
+    """``--seed``, which defaults to None so that a command can tell it was given."""
+    return DEFAULT_SEED if args.seed is None else args.seed
+
+
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -288,13 +294,15 @@ def _cmd_amp(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
+    if args.samples is None and args.seed is not None:
+        raise CircuitFormatError("--seed has no effect without --samples")
     circuit = _load_circuit(args.circuit)
     report = linamp.verify_duality(
         circuit,
         photon_budget=args.max_photons,
         photon_cap=args.cutoff,
         sample_count=args.samples,
-        seed=args.seed,
+        seed=_seed(args),
         leak_tol=fock.DEFAULT_LEAK_TOL,
     )
     payload = {
@@ -330,14 +338,17 @@ def _cmd_qfunc(args) -> tuple[int, dict, list[str]]:
         ]
         if missing:
             raise CircuitFormatError(f"explicit points need {' and '.join(missing)} as well")
+        for flag, value in (("--points", args.points), ("--seed", args.seed)):
+            if value is not None:
+                raise CircuitFormatError(f"{flag} has no effect next to explicit --alpha-*/--beta-* points")
         alpha_s = _parse_complex_list(args.alpha_s, n_s, "--alpha-s")
         alpha_i = _parse_complex_list(args.alpha_i, n_i, "--alpha-i")
         beta_s = _parse_complex_list(args.beta_s, n_s, "--beta-s")[np.newaxis, :]
         beta_i = _parse_complex_list(args.beta_i, n_i, "--beta-i")[np.newaxis, :]
         points = 1
     else:
-        rng = np.random.default_rng(args.seed)
-        points = args.points
+        rng = np.random.default_rng(_seed(args))
+        points = args.points or DEFAULT_POINTS
         alpha_s = 0.5 * (rng.normal(size=n_s) + 1j * rng.normal(size=n_s))
         alpha_i = 0.5 * (rng.normal(size=n_i) + 1j * rng.normal(size=n_i))
         beta_s = 0.6 * (rng.normal(size=(points, n_s)) + 1j * rng.normal(size=(points, n_s)))
@@ -349,8 +360,8 @@ def _cmd_qfunc(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_awp(args) -> tuple[int, dict, list[str]]:
-    ratio = harness.four_photon_ratio(args.gain, seed=args.seed)
-    circuit = harness._awp_scenario_circuit(args.gain, args.seed)
+    ratio = harness.four_photon_ratio(args.gain, seed=_seed(args))
+    circuit = harness._awp_scenario_circuit(args.gain, _seed(args))
     nc = build_ptr(circuit).nc
     identity_residual = abs(ratio / nc - 1.0)
     payload = {
@@ -379,10 +390,12 @@ def _cmd_teleport(args) -> tuple[int, dict, list[str]]:
     if args.ch or args.cv:
         if not (args.ch and args.cv):
             raise CircuitFormatError("give both --ch and --cv or neither")
+        if args.seed is not None:
+            raise CircuitFormatError("--seed has no effect next to explicit --ch/--cv")
         c_h = _parse_complex_list(args.ch, 1, "--ch")[0]
         c_v = _parse_complex_list(args.cv, 1, "--cv")[0]
     else:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(_seed(args))
         raw = rng.normal(size=2) + 1j * rng.normal(size=2)
         c_h, c_v = raw / np.linalg.norm(raw)
     report = harness.teleportation_demo(args.gain, (c_h, c_v))
@@ -414,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     cutoff = flag("--cutoff", type=int, default=None, help="total photon cap (default: auto)")
     max_photons = flag("--max-photons", type=int, default=DEFAULT_MAX_PHOTONS, help="photon budget per side")
     tol = flag("--tol", type=float, default=DEFAULT_TOL, help="pass/fail tolerance")
-    seed = flag("--seed", type=int, default=DEFAULT_SEED, help="random seed")
+    seed = flag("--seed", type=int, default=None, help=f"random seed (default {DEFAULT_SEED})")
     as_json = flag("--json", action="store_true", help="machine-readable output")
 
     commands = {  # name: (help, the shared flags it reads)
@@ -437,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=_positive_int, default=None, help="subsample this many pairs"
     )
     p = parsers["qfunc"]
-    p.add_argument("--points", type=_positive_int, default=50, help="number of random probe points")
+    p.add_argument("--points", type=_positive_int, default=None, help=f"random probe points (default {DEFAULT_POINTS})")
     p.add_argument("--alpha-s", default=None, help="input signal coherent amplitudes, comma separated")
     p.add_argument("--alpha-i", default=None, help="input idler coherent amplitudes")
     p.add_argument("--beta-s", default=None, help="probe signal coherent amplitudes")

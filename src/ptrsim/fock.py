@@ -21,16 +21,18 @@ Blocks act by gather, matrix products and scatter.  Truncation is
 validated, never assumed: callers get a measured norm defect and a hard
 error once it crosses the configured leak tolerance.
 
-Sector spaces are shared within a process.  :func:`sector_space` keeps the
+Every brute-force amplitude, single or batched, comes from
+:func:`postselection_amplitudes`, so the ranking format stays in this module.
+Its sector spaces are shared within a process.  :func:`sector_space` keeps the
 ``SECTOR_CACHE_SIZE`` (32) most recently used spaces, keyed by (signal
 paths, idler paths, cap, delta), which is all a space depends on; so
 circuits of one shape and cap reuse its rows, ranks and the ladder,
-number-block and occupation plans it builds on first use.  The verifier and
-:func:`nonlinear_postselection_amplitude` take their spaces from it, while
+number-block and occupation plans it builds on first use, while
 :class:`FockSpace` and :func:`enumerate_basis` build a new one per call.
 Every array of a space and of its plans is read-only: the next caller
-evolves on the same object, so a write would change its results.  The
-dimension limit is checked on every call, cached or not.
+evolves on the same object, so a write would change its results.  No space
+holds more than ``DIM_LIMIT`` states; the size is counted by formula before
+anything is built.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import DimensionOverflowError, TruncationLeakError
 
-#: largest basis the package will materialise before declaring the instance
-#: out of desk scale.
-DEFAULT_DIM_LIMIT = 4_000_000
+#: largest basis, full or one sector, the package will materialise before
+#: declaring the instance out of desk scale.
+DIM_LIMIT = 4_000_000
 
 #: default tolerance on the measured norm defect of evolved columns.
 DEFAULT_LEAK_TOL = 1e-3
@@ -216,23 +218,6 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _checked_dimension(n_s: int, n_i: int, cap: int, delta: int | None, dim_limit: int) -> int:
-    """Dimension of the (sector) basis; raises if it is invalid or above ``dim_limit``."""
-    if n_s < 1 or n_i < 1:
-        raise ValueError("need at least one signal and one idler path")
-    if cap < 0:
-        raise ValueError("photon cap must be nonnegative")
-    if math.comb(cap + n_s + n_i, n_s + n_i) >= 2**63:
-        raise DimensionOverflowError("states of this cap and path count do not rank in 64 bits")
-    expected = _sector_dimension(n_s, n_i, cap, delta)
-    if expected > dim_limit:
-        raise DimensionOverflowError(
-            f"basis of {expected} states exceeds the limit of {dim_limit}; "
-            "lower the cap, restrict to a difference sector, or raise dim_limit"
-        )
-    return expected
-
-
 class FockSpace:
     """Bijection between occupation vectors under a global photon cap and indices.
 
@@ -241,21 +226,24 @@ class FockSpace:
         n_i_paths: number of idler paths.
         photon_cap: largest allowed total photon number (signal plus idler).
         delta: optional restriction to one conserved signal-minus-idler sector.
-        dim_limit: hard bound on the basis size.
 
     Raises:
-        DimensionOverflowError: the basis would exceed ``dim_limit``.
+        DimensionOverflowError: the basis would exceed ``DIM_LIMIT`` states.
     """
 
-    def __init__(
-        self,
-        n_s_paths: int,
-        n_i_paths: int,
-        photon_cap: int,
-        delta: int | None = None,
-        dim_limit: int = DEFAULT_DIM_LIMIT,
-    ) -> None:
-        expected = _checked_dimension(n_s_paths, n_i_paths, photon_cap, delta, dim_limit)
+    def __init__(self, n_s_paths: int, n_i_paths: int, photon_cap: int, delta: int | None = None) -> None:
+        if n_s_paths < 1 or n_i_paths < 1:
+            raise ValueError("need at least one signal and one idler path")
+        if photon_cap < 0:
+            raise ValueError("photon cap must be nonnegative")
+        if math.comb(photon_cap + n_s_paths + n_i_paths, n_s_paths + n_i_paths) >= 2**63:
+            raise DimensionOverflowError("states of this cap and path count do not rank in 64 bits")
+        expected = _sector_dimension(n_s_paths, n_i_paths, photon_cap, delta)
+        if expected > DIM_LIMIT:
+            raise DimensionOverflowError(
+                f"basis of {expected} states exceeds the limit of {DIM_LIMIT}; "
+                "lower the cap or restrict to a difference sector"
+            )
         self.n_s_paths = n_s_paths
         self.n_i_paths = n_i_paths
         self.photon_cap = photon_cap
@@ -306,6 +294,15 @@ class FockSpace:
         vec = np.zeros(self.dimension, dtype=np.complex128)
         vec[self.index(occ)] = 1.0
         return vec
+
+    def _ranked_rows(self, codes: np.ndarray, picks: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Basis index of the rows ``picks`` of ``counts``, ranked ``codes`` at this cap; all must lie inside."""
+        wanted = codes[picks]
+        rows = np.searchsorted(self._codes, wanted)
+        missing = np.flatnonzero(self._codes.take(rows, mode="clip") != wanted)
+        if missing.size:
+            raise ValueError(f"{tuple(counts[picks[missing[0]]].tolist())} is not in this truncated basis")
+        return rows
 
     def _ladders(self, s_path: int, i_path: int) -> list[tuple[int, np.ndarray]]:
         """Pair-source ladders on (s_path, i_path) with at least two rungs.
@@ -364,47 +361,29 @@ class FockSpace:
         return self._plans[key]
 
 
-def enumerate_basis(
-    n_s_paths: int,
-    n_i_paths: int,
-    photon_cap: int,
-    delta: int | None = None,
-    dim_limit: int = DEFAULT_DIM_LIMIT,
-) -> FockSpace:
+def enumerate_basis(n_s_paths: int, n_i_paths: int, photon_cap: int, delta: int | None = None) -> FockSpace:
     """Build a new truncated basis on every call; see :class:`FockSpace`.
 
     Deliberately uncached, so the caller owns the result; the evolution
     entry points share read-only spaces through :func:`sector_space`.
     """
-    return FockSpace(n_s_paths, n_i_paths, photon_cap, delta=delta, dim_limit=dim_limit)
+    return FockSpace(n_s_paths, n_i_paths, photon_cap, delta=delta)
 
 
 #: sector spaces kept by :func:`sector_space`, least recently used dropped first.
 SECTOR_CACHE_SIZE = 32
 
 
-def sector_space(
-    n_s_paths: int,
-    n_i_paths: int,
-    photon_cap: int,
-    delta: int | None,
-    dim_limit: int = DEFAULT_DIM_LIMIT,
-) -> FockSpace:
+@lru_cache(maxsize=SECTOR_CACHE_SIZE)
+def sector_space(n_s_paths: int, n_i_paths: int, photon_cap: int, delta: int | None, /) -> FockSpace:
     """Shared read-only :class:`FockSpace`, built once per (paths, cap, delta).
 
-    ``dim_limit`` is checked on every call, cached or not.  The space and
-    the plans it accumulates are shared by every later caller with the same
-    key, so none of its arrays may be written.
+    The space and the plans it accumulates are shared by every later caller
+    with the same key, so none of its arrays may be written.  A request over
+    the size limit raises before anything is built or cached.  The arguments
+    are positional only: the cache would key a keyword call apart.
     """
-    _checked_dimension(n_s_paths, n_i_paths, photon_cap, delta, dim_limit)
-    return _cached_sector_space(n_s_paths, n_i_paths, photon_cap, delta)
-
-
-@lru_cache(maxsize=SECTOR_CACHE_SIZE)
-def _cached_sector_space(
-    n_s_paths: int, n_i_paths: int, photon_cap: int, delta: int | None
-) -> FockSpace:
-    return FockSpace(n_s_paths, n_i_paths, photon_cap, delta=delta, dim_limit=math.inf)
+    return FockSpace(n_s_paths, n_i_paths, photon_cap, delta=delta)
 
 
 def auto_photon_cap(requested_photons: int, total_gain: float) -> int:
@@ -722,31 +701,56 @@ def pdc_fock_amplitude(r: float, out_s: int, out_i: int, in_s: int, in_i: int) -
     return t * bs_fock_amplitude(t, math.tanh(r), out_s, in_i, in_s, out_i)
 
 
+def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_tol: float | None) -> np.ndarray:
+    """<occupations[b]| U |occupations[a]> for every index pair (a, b) of ``pairs``, by brute force.
+
+    ``occupations`` holds count rows, signal paths first; each row is ranked
+    once.  A pair whose photon differences disagree reads exactly zero.
+    Every other pair is read from one :func:`apply_circuit` per difference
+    sector on :func:`sector_space`, whose columns are that sector's distinct
+    inputs in lexicographic order.
+    """
+    n_s = circuit.n_s_paths
+    counts = np.asarray(occupations, dtype=np.int64).reshape(len(occupations), n_s + circuit.n_i_paths)
+    if counts.size and counts.min() < 0:
+        raise ValueError("occupation counts must be nonnegative")
+    if counts.size and counts.sum(axis=1).max() > photon_cap:
+        raise ValueError("photon cap below the requested occupations")
+    codes = _lex_rank(counts, photon_cap)
+    differences = counts[:, :n_s].sum(axis=1) - counts[:, n_s:].sum(axis=1)
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
+    d_in = differences[pairs[:, 0]]
+    same = d_in == differences[pairs[:, 1]]
+    amplitudes = np.zeros(len(pairs), dtype=np.complex128)
+    for delta in np.unique(d_in[same]).tolist():
+        members = np.flatnonzero(same & (d_in == delta))
+        ins, outs = pairs[members].T
+        # ranks increase with lexicographic order, so the columns are the inputs in that order
+        inputs, first, cols = np.unique(codes[ins], return_index=True, return_inverse=True)
+        space = sector_space(n_s, circuit.n_i_paths, photon_cap, delta)
+        block = np.zeros((space.dimension, len(inputs)), dtype=np.complex128)
+        block[space._ranked_rows(codes, ins[first], counts), np.arange(len(inputs))] = 1.0
+        evolved = apply_circuit(circuit, space, block, leak_tol=leak_tol)
+        amplitudes[members] = evolved[space._ranked_rows(codes, outs, counts), cols]
+    return amplitudes
+
+
 def nonlinear_postselection_amplitude(
     circuit,
     input_occ,
     output_occ,
     photon_cap: int | None = None,
     leak_tol: float | None = DEFAULT_LEAK_TOL,
-    dim_limit: int = DEFAULT_DIM_LIMIT,
 ) -> complex:
-    """<output| U |input> by brute-force evolution in the truncated basis.
+    """<output| U |input> by brute-force evolution in the truncated basis; see :func:`postselection_amplitudes`.
 
-    The input's difference sector comes from :func:`sector_space`.
     Returns exactly zero when the conserved photon difference of input and
     output disagree.  The cap defaults to :func:`auto_photon_cap`; accuracy
     improves geometrically as the cap is raised above the occupations.
     """
-    input_occ = as_occupation(input_occ, circuit.n_s_paths, circuit.n_i_paths)
-    output_occ = as_occupation(output_occ, circuit.n_s_paths, circuit.n_i_paths)
-    if input_occ.difference != output_occ.difference:
-        return 0.0 + 0.0j
+    s_in, i_in = _occupation_counts(input_occ, circuit.n_s_paths, circuit.n_i_paths)
+    s_out, i_out = _occupation_counts(output_occ, circuit.n_s_paths, circuit.n_i_paths)
     if photon_cap is None:
-        photon_cap = auto_photon_cap(max(input_occ.total, output_occ.total), circuit.total_gain)
-    if photon_cap < max(input_occ.total, output_occ.total):
-        raise ValueError("photon cap below the requested occupations")
-    space = sector_space(
-        circuit.n_s_paths, circuit.n_i_paths, photon_cap, input_occ.difference, dim_limit=dim_limit
-    )
-    column = apply_circuit(circuit, space, space.basis_vector(input_occ), leak_tol=leak_tol)
-    return complex(column[space.index(output_occ)])
+        photon_cap = auto_photon_cap(max(sum(s_in + i_in), sum(s_out + i_out)), circuit.total_gain)
+    amplitudes = postselection_amplitudes(circuit, [s_in + i_in, s_out + i_out], [(0, 1)], photon_cap, leak_tol)
+    return complex(amplitudes[0])

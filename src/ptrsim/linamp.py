@@ -9,7 +9,8 @@ tuples from the one occupation check in :mod:`fock` on; an
 :class:`~ptrsim.fock.OccupationVector` is built only where a report holds
 one.  The verifier pits those amplitudes, scaled by the normalization
 coefficient of the dual setup, against brute-force truncated Fock-space
-amplitudes of the nonlinear circuit, ranking each occupation once per call.
+amplitudes of the nonlinear circuit from
+:func:`ptrsim.fock.postselection_amplitudes`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ MAX_PERMANENT_SIZE = 20
 #: Ryser terms evaluated per matmul; grids this small are also cached.
 RYSER_CHUNK = 1 << 10
 _FACTORIALS = tuple(math.factorial(n) for n in range(MAX_PERMANENT_SIZE + 1))
+#: amplitude pairs whose magnitudes both fall below this count as residual zero.
+ATOL = 1e-12
 
 
 def _multiplicities(matrix: np.ndarray) -> tuple[list[int], tuple[int, ...]]:
@@ -184,25 +187,13 @@ class DualityReport:
         return float(np.max([c.rel_residual for c in self.comparisons], initial=0.0))
 
 
-def _basis_rows(space: fock.FockSpace, codes: np.ndarray, picks: np.ndarray, occupations) -> np.ndarray:
-    """Basis index of the occupations ``picks``, ranked in ``codes``; all must lie inside the basis."""
-    wanted = codes[picks]
-    rows = np.searchsorted(space._codes, wanted)
-    missing = np.flatnonzero(space._codes.take(rows, mode="clip") != wanted)
-    if missing.size:
-        raise ValueError(f"{occupations[picks[missing[0]]]} is not in this truncated basis")
-    return rows
-
-
 def verify_duality(
     circuit: Circuit,
     photon_budget: int,
     photon_cap: int | None = None,
     sample_count: int | None = None,
     seed: int = 0,
-    atol: float = 1e-12,
     leak_tol: float | None = None,
-    dim_limit: int = fock.DEFAULT_DIM_LIMIT,
 ) -> DualityReport:
     """Compare brute force against the dual picture over occupation pairs.
 
@@ -210,10 +201,10 @@ def verify_duality(
     ``photon_budget`` photons on each side are enumerated in lexicographic
     order; ``sample_count`` (at least one) draws a seeded subsample without
     replacement (enumeration order is preserved).  The brute-force side
-    batches all inputs of one difference sector into a single evolution on
-    the shared space of :func:`fock.sector_space`; ``photon_cap`` may not be
-    below ``photon_budget``, or inputs would fall outside it.  Amplitude
-    pairs whose magnitudes both fall below ``atol`` count as residual zero.
+    comes from :func:`fock.postselection_amplitudes`, one evolution per
+    difference sector; ``photon_cap`` may not be below ``photon_budget``, or
+    inputs would fall outside it.  Amplitude pairs whose magnitudes both
+    fall below ``ATOL`` count as residual zero.
 
     The dual side involves no truncation, so truncation damage on the brute
     side shows up directly in the residuals and the state-level leak guard is
@@ -228,11 +219,9 @@ def verify_duality(
     if photon_cap < photon_budget:
         raise ValueError(f"photon cap {photon_cap} is below the photon budget {photon_budget}")
     setup = ptr.build_ptr(circuit)
-    n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
-    keys = fock.occupations_upto(n_s + n_i, photon_budget)
+    n_s = circuit.n_s_paths
+    keys = fock.occupations_upto(n_s + circuit.n_i_paths, photon_budget)
     occupations = [OccupationVector(key[:n_s], key[n_s:]) for key in keys]
-    # every sector space ranks its rows the same way, so rank the occupations once
-    codes = fock._lex_rank(np.array(keys, dtype=np.int64), photon_cap)
     differences = [occ.difference for occ in occupations]
     pairs = [(a, b) for a, d_a in enumerate(differences) for b, d_b in enumerate(differences) if d_a == d_b]
     if sample_count is not None and sample_count < len(pairs):
@@ -240,28 +229,14 @@ def verify_duality(
         chosen = np.sort(rng.choice(len(pairs), size=sample_count, replace=False))
         pairs = [pairs[int(k)] for k in chosen]
 
-    # one batched evolution per difference sector
-    sectors: dict[int, list[int]] = {}
-    for k, (a, _) in enumerate(pairs):
-        sectors.setdefault(differences[a], []).append(k)
-    index_pairs = np.array(pairs, dtype=np.intp)
-    nonlinear = np.empty(len(pairs), dtype=np.complex128)
-    for delta in sorted(sectors):
-        members = sectors[delta]
-        inputs, cols = np.unique(index_pairs[members, 0], return_inverse=True)  # in lexicographic order
-        space = fock.sector_space(n_s, n_i, photon_cap, delta, dim_limit=dim_limit)
-        block = np.zeros((space.dimension, len(inputs)), dtype=np.complex128)
-        block[_basis_rows(space, codes, inputs, occupations), np.arange(len(inputs))] = 1.0
-        evolved = fock.apply_circuit(circuit, space, block, leak_tol=leak_tol)
-        nonlinear[members] = evolved[_basis_rows(space, codes, index_pairs[members, 1], occupations), cols]
-
+    nonlinear = fock.postselection_amplitudes(circuit, keys, pairs, photon_cap, leak_tol)
     comparisons = []
     for (a, b), brute in zip(pairs, nonlinear.tolist()):
         occ_in, occ_out = occupations[a], occupations[b]
         dual = ptr_postselection_amplitude(setup, occ_in, occ_out)
         abs_res = abs(brute - dual)
         denom = max(abs(brute), abs(dual))  # may drop a NaN amplitude; abs_res keeps it
-        rel_res = abs_res if math.isnan(abs_res) else 0.0 if denom < atol else abs_res / denom
+        rel_res = abs_res if math.isnan(abs_res) else 0.0 if denom < ATOL else abs_res / denom
         comparisons.append(AmplitudeComparison(occ_in, occ_out, brute, dual, abs_res, rel_res))
     return DualityReport(photon_budget, photon_cap, setup.nc, tuple(comparisons))
 
@@ -270,12 +245,14 @@ def four_photon_awp_amplitude(setup: PtrSetup, s_pair: Sequence[int], i_pair: Se
     """Leading-order four-photon coincidence amplitude in the advanced-wave picture.
 
     ``s_pair`` and ``i_pair`` name the two signal and two idler detection
-    paths (repeats allowed).  From the pumped vacuum, the amplitude is the
+    paths (repeats allowed); a pattern of any other length is refused.  From the pumped vacuum, the amplitude is the
     permanent of the relevant 2x2 slice of the signal-to-idler coupling
     block with bosonic bunching factors, a two-photon linear amplitude of
     that block; the normalization coefficient is deliberately omitted, so at
     low gain the ratio against brute force approaches one like the gain squared.
     """
+    if len(s_pair) != 2 or len(i_pair) != 2:
+        raise ValueError(f"a four-photon pattern has two signal and two idler paths, got {s_pair} and {i_pair}")
     coupling = setup.scattering.si
     s_counts, i_counts = _path_counts(s_pair, coupling.shape[0]), _path_counts(i_pair, coupling.shape[1])
     return _counts_amplitude(coupling, i_counts, s_counts)

@@ -316,6 +316,24 @@ def test_commands_refuse_flags_they_do_not_read(circuit_file, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+EXPLICIT_POINTS = ["--alpha-s", "0.1,0.2", "--alpha-i", "0.1,-0.2j", "--beta-s", "0.05,0.1j", "--beta-i", "0.2,0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["qfunc", "--circuit", "CIRCUIT", "--points", "7"] + EXPLICIT_POINTS, "--points"),
+        (["qfunc", "--circuit", "CIRCUIT", "--seed", "3"] + EXPLICIT_POINTS, "--seed"),
+        (["verify", "--circuit", "CIRCUIT", "--max-photons", "1", "--seed", "5"], "--seed"),
+        (["teleport", "--ch", "0.6", "--cv", "0.8j", "--seed", "3"], "--seed"),
+    ],
+)
+def test_commands_refuse_flags_they_would_ignore(circuit_file, capsys, argv, flag):
+    assert cli.main([circuit_file if arg == "CIRCUIT" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} has no effect" in captured.err and captured.out == ""
+
+
 def single_source_file(tmp_path, r: float) -> str:
     path = tmp_path / "single_source.json"
     source = {"type": "pdc", "s": 0, "i": 0, "r": r}

@@ -135,3 +135,24 @@ def test_state_vector_builds_normalized_superpositions():
     )
     assert np.isclose(np.linalg.norm(vec), 1.0)
     assert np.isclose(vec[space.index(((0,), (0,)))], 1 / math.sqrt(2))
+
+
+def test_batched_amplitudes_equal_single_pair_ones_in_every_sector():
+    circuit = Circuit(
+        2, 1, (Pdc(0, 0, 0.4), LinearS(np.array([[0.6, 0.8j], [0.8j, 0.6]])), PhaseS(1, 0.5), Pdc(1, 0, 0.3))
+    )
+    keys = fock.occupations_upto(3, 3)
+    pairs = [(a, b) for a in range(len(keys)) for b in range(len(keys))]
+    batch = fock.postselection_amplitudes(circuit, keys, pairs, 20, None)
+    agree = 0
+    for (a, b), amplitude in zip(pairs, batch.tolist()):
+        occ_in, occ_out = (keys[a][:2], keys[a][2:]), (keys[b][:2], keys[b][2:])
+        if sum(occ_in[0]) - sum(occ_in[1]) != sum(occ_out[0]) - sum(occ_out[1]):
+            assert amplitude == 0
+            continue
+        agree += 1
+        single = fock.nonlinear_postselection_amplitude(circuit, occ_in, occ_out, photon_cap=20, leak_tol=None)
+        assert amplitude == single, (keys[a], keys[b])
+    assert 0 < agree < len(pairs) and np.count_nonzero(batch) == agree
+    with pytest.raises(ValueError, match="photon cap below the requested occupations"):
+        fock.postselection_amplitudes(circuit, keys + [(3, 0, 1)], [(0, 0)], 3, None)

@@ -98,8 +98,19 @@ def test_negative_cap_rejected():
 
 
 def test_dim_limit_overflow_raises():
-    with pytest.raises(DimensionOverflowError):
-        fock.FockSpace(3, 3, 60, dim_limit=10_000)
+    # 3+3 paths at cap 60 hold 9.1e7 states; the limit is counted, not built
+    assert math.comb(66, 6) > fock.DIM_LIMIT
+    with pytest.raises(DimensionOverflowError, match=f"exceeds the limit of {fock.DIM_LIMIT}"):
+        fock.FockSpace(3, 3, 60)
+
+
+def test_ranked_rows_refuse_an_occupation_outside_the_sector():
+    counts = np.array([[1, 0, 1], [1, 0, 0]])
+    codes = fock._lex_rank(counts, 6)
+    space = fock.sector_space(2, 1, 6, 0)
+    assert space._ranked_rows(codes, np.array([0]), counts).tolist() == [space.index(((1, 0), (1,)))]
+    with pytest.raises(ValueError, match=r"\(1, 0, 0\) is not in this truncated basis"):
+        space._ranked_rows(codes, np.array([0, 1]), counts)
 
 
 def test_auto_photon_cap_monotone_and_floored():

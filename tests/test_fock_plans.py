@@ -25,11 +25,11 @@ def plan_arrays(space: fock.FockSpace) -> list[np.ndarray]:
 
 def test_cold_and_warm_verification_are_bitwise_identical():
     circuit = two_source_circuit()
-    fock._cached_sector_space.cache_clear()
+    fock.sector_space.cache_clear()
     cold = linamp.verify_duality(circuit, photon_budget=3, photon_cap=40)
-    hits = fock._cached_sector_space.cache_info().hits
+    hits = fock.sector_space.cache_info().hits
     warm = linamp.verify_duality(circuit, photon_budget=3, photon_cap=40)
-    assert fock._cached_sector_space.cache_info().hits > hits
+    assert fock.sector_space.cache_info().hits > hits
     assert warm == cold
     assert cold.max_rel_residual < 1e-10
     # each sector of the report was evolved on its own space
@@ -48,19 +48,29 @@ def test_cached_space_and_plans_are_read_only():
             array.flat[0] = 1
 
 
-def test_a_cache_hit_still_checks_the_dimension_limit():
-    space = fock.sector_space(2, 1, 30, 1)
-    assert fock.sector_space(2, 1, 30, 1, dim_limit=space.dimension) is space
-    with pytest.raises(DimensionOverflowError):
-        fock.sector_space(2, 1, 30, 1, dim_limit=space.dimension - 1)
-    circuit = two_source_circuit()
-    linamp.verify_duality(circuit, photon_budget=2, photon_cap=30)
-    with pytest.raises(DimensionOverflowError):
-        linamp.verify_duality(circuit, photon_budget=2, photon_cap=30, dim_limit=100)
-    with pytest.raises(DimensionOverflowError):
-        fock.nonlinear_postselection_amplitude(
-            circuit, ((1, 0), (0,)), ((0, 1), (0,)), photon_cap=30, dim_limit=100
-        )
+def test_over_limit_requests_raise_before_anything_is_built(monkeypatch):
+    # 4+4 paths at cap 40 hold 1.1e7 states in the delta = 0 sector alone
+    assert fock._sector_dimension(4, 4, 40, 0) > fock.DIM_LIMIT
+    linamp.verify_duality(two_source_circuit(), photon_budget=2, photon_cap=30)
+    cached = fock.sector_space.cache_info().currsize
+    kept = fock.sector_space(2, 1, 30, 0)
+
+    def refuse_to_build(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(fock, "_sector_rows", refuse_to_build)
+    circuit = Circuit(4, 4, (Pdc(0, 0, 0.3), Pdc(3, 3, 0.2)))
+    vacuum = ((0,) * 4, (0,) * 4)
+    for request in (
+        lambda: fock.FockSpace(4, 4, 40, delta=0),
+        lambda: fock.sector_space(4, 4, 40, 0),
+        lambda: linamp.verify_duality(circuit, photon_budget=1, photon_cap=40),
+        lambda: fock.nonlinear_postselection_amplitude(circuit, vacuum, vacuum, photon_cap=40),
+    ):
+        with pytest.raises(DimensionOverflowError, match=f"exceeds the limit of {fock.DIM_LIMIT}"):
+            request()
+    assert fock.sector_space.cache_info().currsize == cached
+    assert fock.sector_space(2, 1, 30, 0) is kept
 
 
 def test_direct_construction_stays_uncached():
@@ -72,11 +82,17 @@ def test_direct_construction_stays_uncached():
 
 
 def test_the_cache_is_bounded():
-    maxsize = fock._cached_sector_space.cache_info().maxsize
+    maxsize = fock.sector_space.cache_info().maxsize
     assert maxsize == fock.SECTOR_CACHE_SIZE and 0 < maxsize <= 64
     for cap in range(maxsize + 4):
         fock.sector_space(1, 1, cap, 0)
-    assert fock._cached_sector_space.cache_info().currsize == maxsize
+    assert fock.sector_space.cache_info().currsize == maxsize
+
+
+def test_sector_space_takes_its_key_positionally():
+    # lru_cache keys a keyword call apart from a positional one, which would build a second copy
+    with pytest.raises(TypeError, match="positional-only"):
+        fock.sector_space(1, 1, 4, delta=0)
 
 
 def test_phase_plates_between_haar_layers_match_the_dense_oracle():

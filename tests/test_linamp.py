@@ -317,6 +317,13 @@ def test_four_photon_estimate_refuses_paths_that_are_not_integers_in_range(s_pai
         linamp.four_photon_awp_amplitude(setup, s_pair, (0, 1))
 
 
+@pytest.mark.parametrize("s_pair, i_pair", [((0,), (0, 1)), ((0, 1, 1), (0, 1, 1)), ((0, 1), ()), ((), ())])
+def test_four_photon_estimate_refuses_patterns_that_are_not_two_paths_per_side(s_pair, i_pair):
+    setup = build_ptr(Circuit(2, 2, (Pdc(0, 0, 0.06), Pdc(1, 1, 0.06))))
+    with pytest.raises(ValueError, match="a four-photon pattern has two signal and two idler paths"):
+        linamp.four_photon_awp_amplitude(setup, s_pair, i_pair)
+
+
 @pytest.mark.parametrize("bad", [1.9, 2.0, np.float64(0.5), math.inf, math.nan])
 def test_occupation_counts_must_be_integers(bad):
     setup = build_ptr(Circuit(2, 1, (Pdc(0, 0, 0.3),)))
@@ -326,16 +333,6 @@ def test_occupation_counts_must_be_integers(bad):
         linamp.linear_fock_amplitude(setup.scattering, ((1, 0), (0,)), ((0, 1), (bad,)))
     with pytest.raises(ValueError, match="occupation counts must be integers, got"):
         fock.as_occupation(((bad, 0), (0,)), 2, 1)
-
-
-def test_basis_rows_refuse_an_occupation_outside_the_sector():
-    occupations = [fock.OccupationVector((1, 0), (1,)), fock.OccupationVector((1, 0), (0,))]
-    codes = fock._lex_rank(np.array([occ.key() for occ in occupations]), 6)
-    space = fock.sector_space(2, 1, 6, 0)
-    rows = linamp._basis_rows(space, codes, np.array([0]), occupations)
-    assert rows.tolist() == [space.index(occupations[0])]
-    with pytest.raises(ValueError, match=r"not in this truncated basis"):
-        linamp._basis_rows(space, codes, np.array([0, 1]), occupations)
 
 
 #: the input forms an occupation may take at the library boundary
