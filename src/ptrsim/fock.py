@@ -45,7 +45,6 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import DimensionOverflowError, TruncationLeakError
@@ -105,8 +104,7 @@ def _occupation_counts(value, n_s_paths: int, n_i_paths: int) -> tuple[tuple[int
         try:
             s_counts, i_counts = tuple(map(operator.index, s_counts)), tuple(map(operator.index, i_counts))
         except TypeError:
-            bad = next(n for n in (*s_counts, *i_counts) if not isinstance(n, (int, np.integer)))
-            raise ValueError(f"occupation counts must be integers, got {bad!r}") from None
+            raise _integer_error((*s_counts, *i_counts)) from None
         _nonnegative(s_counts)
         _nonnegative(i_counts)
     if len(s_counts) != n_s_paths or len(i_counts) != n_i_paths:
@@ -115,6 +113,12 @@ def _occupation_counts(value, n_s_paths: int, n_i_paths: int) -> tuple[tuple[int
             f"expected {n_s_paths}+{n_i_paths}"
         )
     return s_counts, i_counts
+
+
+def _integer_error(counts) -> ValueError:
+    """The error naming the first entry of ``counts`` that is not an integer."""
+    bad = next(n for n in counts if not isinstance(n, (int, np.integer)))
+    return ValueError(f"occupation counts must be integers, got {bad!r}")
 
 
 def as_occupation(value, n_s_paths: int, n_i_paths: int) -> OccupationVector:
@@ -554,7 +558,7 @@ def apply_circuit(
 
 
 # ---------------------------------------------------------------------------
-# states and observables
+# states
 # ---------------------------------------------------------------------------
 
 
@@ -588,65 +592,6 @@ def product_state_vector(
             raise ValueError("product state has no support inside the cap")
         vec /= norm
     return vec
-
-
-def joint_observable(
-    space: FockSpace,
-    obs_s: np.ndarray,
-    s_basis: Sequence[tuple[int, ...]],
-    obs_i: np.ndarray,
-    i_basis: Sequence[tuple[int, ...]],
-) -> sp.csr_matrix:
-    """Embed O_s (x) O_i into the truncated joint basis.
-
-    The observables are given as matrices over explicit occupation lists for
-    each side; everything outside those lists is treated as zero, i.e. the
-    embedded operator includes the projection onto the listed sectors.
-    """
-    obs_s = np.asarray(obs_s, dtype=np.complex128)
-    obs_i = np.asarray(obs_i, dtype=np.complex128)
-    if obs_s.shape != (len(s_basis), len(s_basis)) or obs_i.shape != (len(i_basis), len(i_basis)):
-        raise ValueError("observable shape does not match its occupation list")
-    idx = space.indices(_product_rows(s_basis, i_basis)).reshape(len(s_basis), len(i_basis))
-    values = np.einsum("ac,bd->abcd", obs_s, obs_i)  # <a_s|O_s|b_s> <a_i|O_i|b_i>
-    rows, cols = np.broadcast_arrays(idx[:, :, None, None], idx[None, None, :, :])
-    keep = (values != 0) & (rows >= 0) & (cols >= 0)
-    dim = space.dimension
-    return sp.csr_matrix((values[keep], (rows[keep], cols[keep])), shape=(dim, dim))
-
-
-def annihilation_matrix(space: FockSpace, side: str, path: int) -> sp.csr_matrix:
-    """Sparse annihilation operator for one path of the truncated basis.
-
-    Lowering leaves any difference sector, so this is only available on
-    unrestricted spaces.
-    """
-    if space.delta is not None:
-        raise ValueError("annihilation is not closed on a difference sector")
-    if side not in ("s", "i"):
-        raise ValueError("side must be 's' or 'i'")
-    limit = space.n_s_paths if side == "s" else space.n_i_paths
-    if not 0 <= path < limit:
-        raise ValueError(f"path {path} out of range")
-    col = path if side == "s" else space.n_s_paths + path
-    src = np.flatnonzero(space.counts[:, col] > 0)
-    lowered = space.counts[src].copy()
-    lowered[:, col] -= 1
-    vals = np.sqrt(space.counts[src, col]).astype(np.complex128)
-    dim = space.dimension
-    return sp.csr_matrix((vals, (space.indices(lowered), src)), shape=(dim, dim))
-
-
-def observable_expectation(
-    circuit,
-    space: FockSpace,
-    state: np.ndarray,
-    operator: sp.spmatrix | np.ndarray,
-    leak_tol: float | None = DEFAULT_LEAK_TOL,
-) -> complex:
-    """<state| U+ (operator) U |state> with U the nonlinear circuit operator."""
-    evolved = apply_circuit(circuit, space, state, leak_tol=leak_tol)
-    return complex(np.vdot(evolved, operator @ evolved))
 
 
 # ---------------------------------------------------------------------------
@@ -708,10 +653,15 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
     once.  A pair whose photon differences disagree reads exactly zero.
     Every other pair is read from one :func:`apply_circuit` per difference
     sector on :func:`sector_space`, whose columns are that sector's distinct
-    inputs in lexicographic order.
+    inputs in lexicographic order.  Counts that are not integers, or
+    negative, or above the cap, and pair indices outside ``occupations``
+    raise ``ValueError``.
     """
     n_s = circuit.n_s_paths
-    counts = np.asarray(occupations, dtype=np.int64).reshape(len(occupations), n_s + circuit.n_i_paths)
+    counts = np.asarray(occupations)
+    if counts.size and counts.dtype.kind not in "biu":
+        raise _integer_error(counts.ravel().tolist())
+    counts = counts.astype(np.int64, copy=False).reshape(len(occupations), n_s + circuit.n_i_paths)
     if counts.size and counts.min() < 0:
         raise ValueError("occupation counts must be nonnegative")
     if counts.size and counts.sum(axis=1).max() > photon_cap:
@@ -719,6 +669,9 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
     codes = _lex_rank(counts, photon_cap)
     differences = counts[:, :n_s].sum(axis=1) - counts[:, n_s:].sum(axis=1)
     pairs = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
+    outside = ((pairs < 0) | (pairs >= len(counts))).any(axis=1)
+    if outside.any():
+        raise ValueError(f"pair {tuple(pairs[outside][0].tolist())} indexes outside the {len(counts)} occupations")
     d_in = differences[pairs[:, 0]]
     same = d_in == differences[pairs[:, 1]]
     amplitudes = np.zeros(len(pairs), dtype=np.complex128)

@@ -16,18 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ptr import Circuit, PtrSetup, build_ptr, circuit_transfer
+from .ptr import Circuit, build_ptr, circuit_transfer, nc_determinant_defect
 from .scatter import TransferMatrix
 
 HERMITICITY_TOL = 1e-9
 EIGENVALUE_FLOOR = 1e-12
-
-
-def _half_swap(n_modes: int) -> np.ndarray:
-    """Permutation exchanging the amplitude and conjugate halves."""
-    eye = np.eye(n_modes)
-    zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [eye, zero]])
 
 
 @dataclass(frozen=True)
@@ -37,7 +30,8 @@ class GaussianState:
     The covariance is the symmetrized second-moment matrix of the doubled
     operator vector; the vacuum has covariance I/2.  Construction validates
     the conjugation structure (lower half mirrors the upper half) and
-    Hermiticity, to ``HERMITICITY_TOL`` relative to the largest entry.
+    Hermiticity, to ``HERMITICITY_TOL`` relative to the largest entry, and
+    refuses non-finite entries.
     """
 
     displacement: np.ndarray
@@ -51,6 +45,8 @@ class GaussianState:
         n = disp.size // 2
         if cov.shape != (2 * n, 2 * n):
             raise ValueError("covariance shape does not match the displacement")
+        if not (np.isfinite(disp).all() and np.isfinite(cov).all()):
+            raise ValueError("displacement and covariance must be finite")
         # relative checks: high-gain covariances grow like e^(2 total gain)
         disp_tol = HERMITICITY_TOL * max(1.0, np.abs(disp).max(initial=0.0))
         cov_tol = HERMITICITY_TOL * max(1.0, np.abs(cov).max(initial=0.0))
@@ -58,8 +54,8 @@ class GaussianState:
             raise ValueError("displacement lower half must conjugate the upper half")
         if np.abs(cov - cov.conj().T).max(initial=0.0) > cov_tol:
             raise ValueError("covariance must be Hermitian")
-        swap = _half_swap(n)
-        if np.abs(cov - swap @ cov.conj() @ swap).max(initial=0.0) > cov_tol:
+        # X cov* X with X the half-swap permutation: both halves of both axes exchanged
+        if np.abs(cov - np.roll(cov.conj(), (n, n), axis=(0, 1))).max(initial=0.0) > cov_tol:
             raise ValueError("covariance must commute with conjugation of the doubled basis")
         object.__setattr__(self, "displacement", disp)
         object.__setattr__(self, "covariance", cov)
@@ -101,8 +97,8 @@ class SymplecticMap:
 
 def conjugation_defect(f: SymplecticMap) -> float:
     """Max deviation from F X = X F* with X the half-swap permutation."""
-    swap = _half_swap(f.n_modes)
-    return float(np.abs(f.matrix @ swap - swap @ f.matrix.conj()).max())
+    n = f.n_modes
+    return float(np.abs(np.roll(f.matrix, n, axis=1) - np.roll(f.matrix.conj(), n, axis=0)).max())
 
 
 def metric_preservation_defect(f: SymplecticMap) -> float:
@@ -167,7 +163,8 @@ def q_function(state: GaussianState, beta_s, beta_i) -> float | np.ndarray:
 
     ``beta_s`` and ``beta_i`` hold the coherent amplitudes probed on each
     side; stack points along a leading axis to evaluate a batch.  The
-    1/pi^N factor is included, so Q integrates to one.
+    1/pi^N factor is included, so Q integrates to one.  Non-finite probe
+    points raise ``ValueError``.
     """
     beta_s = np.atleast_1d(np.asarray(beta_s, dtype=np.complex128))
     beta_i = np.atleast_1d(np.asarray(beta_i, dtype=np.complex128))
@@ -178,6 +175,8 @@ def q_function(state: GaussianState, beta_s, beta_i) -> float | np.ndarray:
     n = state.n_modes
     if points.shape[1] != n:
         raise ValueError("probe point does not match the mode count")
+    if not np.isfinite(points).all():
+        raise ValueError("probe points must be finite")
     sigma_q = _q_covariance(state)
     doubled = np.concatenate([points, points.conj()], axis=1)
     delta = doubled - state.displacement
@@ -245,8 +244,7 @@ def q_duality_residual(circuit: Circuit, alpha_s, alpha_i, beta_s, beta_i) -> fl
 
     scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
     residual = float(np.abs(lhs - rhs).max() / scale)
-    det_defect = float(abs(abs(setup.nc) - abs(np.linalg.det(setup.scattering.ii))))
-    return max(residual, det_defect)
+    return max(residual, nc_determinant_defect(setup, "ii"))
 
 
 def sms_coherent_duality_residual(r: float, alpha: complex, beta: complex) -> float:
@@ -258,7 +256,7 @@ def sms_coherent_duality_residual(r: float, alpha: complex, beta: complex) -> fl
     network [[T, R], [-R, T]] taken between the sqrt(2)-scaled swapped
     arguments.
     """
-    if r < 0:
+    if not r >= 0:  # NaN fails this too
         raise ValueError("gain must be nonnegative")
     alpha = complex(alpha)
     beta = complex(beta)

@@ -210,10 +210,7 @@ def decoupled_port_scenario(
         )
     out = fock.apply_circuit(circuit, space, np.stack(columns, axis=1), leak_tol=None)
     number_residual = float(((np.abs(out) ** 2) * space.counts[:, 0][:, None]).sum(axis=0).max())
-    lower = fock.annihilation_matrix(space, "s", 0)
-    field_residual = max(
-        abs(np.vdot(out[:, k], lower @ out[:, k])) for k in range(out.shape[1])
-    )
+    field_residual = np.abs(_mean_field(space, out, 0)).max()
     return _timed_report(
         "decoupled-port",
         {"r1": r1, "r2": r2, "photon_cap": photon_cap, "drives": [repr(g) for g in gammas]},
@@ -234,6 +231,20 @@ def decoupled_port_scenario(
         start,
         seed=seeds[0],
     )
+
+
+def _mean_field(space: FockSpace, block: np.ndarray, mode: int) -> np.ndarray:
+    """<a_mode> of every column of ``block``: the sum of sqrt(n_m) conj(psi[n - e_m]) psi[n]
+    over the states n with photons in ``mode`` (signal paths first).
+
+    Lowering leaves any difference sector, so ``space`` must be unrestricted.
+    """
+    if space.delta is not None:
+        raise ValueError("lowering leaves a difference sector; use an unrestricted space")
+    occupied = np.flatnonzero(space.counts[:, mode] > 0)
+    lowered = space.counts[occupied] - np.eye(space.counts.shape[1], dtype=np.int64)[mode]
+    roots = np.sqrt(space.counts[occupied, mode])[:, None]
+    return (block[space.indices(lowered)].conj() * roots * block[occupied]).sum(axis=0)
 
 
 def _awp_scenario_circuit(r: float, seed: int = 20) -> Circuit:
@@ -315,8 +326,10 @@ def expectation_duality_residual(
 ) -> float:
     """Relative defect of the separable-observable expectation duality.
 
-    The left side is the brute-force Heisenberg expectation of
-    O_s (x) O_i on the evolved input product state.  The right side comes
+    The left side evolves the input product state by brute force, gathers
+    its amplitudes A[b, x] on the listed occupations (zero above the cap)
+    and contracts them as Re <A, O_s A O_i^T>; no Fock-space operator is
+    built.  The right side comes
     from the dual arm alone: with M[b, x] = sum_{a,c} s[a] i[c]
     <b, x| U |a, c> taken by :func:`linamp.ptr_postselection_amplitude`
     (nc times a permanent of the hypothetical-beamsplitter network between
@@ -324,7 +337,8 @@ def expectation_duality_residual(
     the sum over both eigenbases of eigenvalue-weighted squared swapped
     amplitudes, regrouped.  Inputs should be normalized; observables are
     Hermitian, relative to their largest entry, over the listed occupation
-    bases.  Non-finite observables or amplitudes raise ``ValueError``.
+    bases.  Non-finite observables or amplitudes, and an observable whose
+    shape does not match its occupation list, raise ``ValueError``.
     """
     n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
     obs_s = np.asarray(obs_s, dtype=np.complex128)
@@ -338,6 +352,8 @@ def expectation_duality_residual(
     for name, values in inputs.items():
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name} has a non-finite entry")
+    if obs_s.shape != (len(s_basis), len(s_basis)) or obs_i.shape != (len(i_basis), len(i_basis)):
+        raise ValueError("observable shape does not match its occupation list")
     for obs in (obs_s, obs_i):
         scale = max(1.0, np.abs(obs).max(initial=0.0))
         if np.abs(obs - obs.conj().T).max(initial=0.0) > 1e-12 * scale:
@@ -348,8 +364,10 @@ def expectation_duality_residual(
 
     space = FockSpace(n_s, n_i, photon_cap)
     state = fock.product_state_vector(space, s_state, i_state, normalize=False)
-    operator = fock.joint_observable(space, obs_s, s_basis, obs_i, i_basis)
-    lhs = fock.observable_expectation(circuit, space, state, operator, leak_tol=leak_tol).real
+    evolved = fock.apply_circuit(circuit, space, state, leak_tol=leak_tol)
+    rows = space.indices([(*s_out, *i_out) for s_out in s_basis for i_out in i_basis])
+    listed = np.where(rows >= 0, evolved[rows], 0).reshape(len(s_basis), len(i_basis))
+    lhs = np.vdot(listed, obs_s @ listed @ obs_i.T).real
 
     setup = build_ptr(circuit)
     swapped = np.zeros((len(s_basis), len(i_basis)), dtype=np.complex128)

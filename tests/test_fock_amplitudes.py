@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ptrsim import fock
+from ptrsim import fock, harness
 from ptrsim.errors import TruncationLeakError
 from ptrsim.ptr import Circuit, LinearS, Pdc, PhaseI, PhaseS
 
@@ -156,3 +156,20 @@ def test_batched_amplitudes_equal_single_pair_ones_in_every_sector():
     assert 0 < agree < len(pairs) and np.count_nonzero(batch) == agree
     with pytest.raises(ValueError, match="photon cap below the requested occupations"):
         fock.postselection_amplitudes(circuit, keys + [(3, 0, 1)], [(0, 0)], 3, None)
+
+
+def test_batched_amplitudes_refuse_non_integer_counts():
+    """A row like (1.9, 0.2) would otherwise be read as (1, 0)."""
+    circuit = harness.random_circuit(7, 1, 1, 1, 0.5)
+    with pytest.raises(ValueError, match="occupation counts must be integers, got 1.9"):
+        fock.postselection_amplitudes(circuit, [(1.9, 0.2), (1, 0)], [(0, 1)], 20, None)
+
+
+@pytest.mark.parametrize("pair", [(-1, 1), (0, 2)])
+def test_batched_amplitudes_refuse_pairs_outside_the_occupations(pair):
+    """A negative index would otherwise wrap to the last row."""
+    circuit = harness.random_circuit(7, 1, 1, 1, 0.5)
+    keys = [(0, 0), (1, 1)]
+    assert fock.postselection_amplitudes(circuit, keys, [(0, 1)], 20, None)[0] != 0
+    with pytest.raises(ValueError, match="outside the 2 occupations"):
+        fock.postselection_amplitudes(circuit, keys, [(0, 1), pair], 20, None)

@@ -1,11 +1,16 @@
-"""Lifted operators against dense Kronecker-product oracles."""
+"""Lifted operators against dense Kronecker-product oracles, and states read off evolved columns."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import oracles
-from ptrsim import fock
+from ptrsim import fock, harness
 from ptrsim.ptr import Circuit, LinearI, LinearS, Pdc, PhaseS
 
 
@@ -65,30 +70,28 @@ def test_number_generator_rejects_side_mixing_on_delta_sector():
         oracles.number_generator(space, coeff)
 
 
-def test_annihilation_matrix_matches_kron_oracle():
-    space = fock.FockSpace(1, 1, 3)
-    cutoff = 3
-    a = oracles.lowering(cutoff)
-    eye = np.eye(cutoff + 1)
-    for side, path, kron_op in [("s", 0, np.kron(a, eye)), ("i", 0, np.kron(eye, a))]:
-        ours = fock.annihilation_matrix(space, side, path).toarray()
-        for col, src in enumerate(space.states):
-            for row, dst in enumerate(space.states):
-                expected = kron_op[
-                    oracles.product_index(dst.key(), cutoff),
-                    oracles.product_index(src.key(), cutoff),
-                ]
-                assert abs(ours[row, col] - expected) < 1e-13
+def test_mean_field_matches_truncated_coherent_closed_form():
+    """<a> of a truncated coherent drive is sum_n sqrt(n) conj(c_{n-1}) c_n, on
+    whichever path carries it; a path in vacuum or a Fock state reads zero."""
+    gamma = 0.4 * np.exp(0.7j)
+    drive = harness.truncated_coherent(gamma, 8)
+    c = np.array([drive[(n,)] for n in range(9)])
+    closed = np.sum(np.sqrt(np.arange(1, 9)) * c[:-1].conj() * c[1:])
+    space = fock.FockSpace(2, 1, 12)
+    idler = {(0,): 0.6, (2,): 0.8}
+    on_signal = fock.product_state_vector(space, {(0, n): c_n for (n,), c_n in drive.items()}, idler)
+    on_idler = fock.product_state_vector(space, {(1, 0): 1.0}, drive)
+    block = np.stack([on_signal, on_idler], axis=1)
+    assert abs(closed) > 0.3
+    assert abs(harness._mean_field(space, block, 1)[0] - closed) < 1e-14
+    assert abs(harness._mean_field(space, block, 2)[1] - closed) < 1e-14
+    assert np.all(harness._mean_field(space, block, 0) == 0)
 
 
-def test_annihilation_matrix_validates_arguments():
-    space = fock.FockSpace(2, 1, 3)
-    with pytest.raises(ValueError):
-        fock.annihilation_matrix(space, "s", 2)
-    with pytest.raises(ValueError):
-        fock.annihilation_matrix(space, "i", -1)
-    with pytest.raises(ValueError):
-        fock.annihilation_matrix(fock.FockSpace(1, 1, 3, delta=0), "s", 0)
+def test_mean_field_refuses_a_difference_sector():
+    space = fock.FockSpace(1, 1, 3, delta=0)
+    with pytest.raises(ValueError, match="difference sector"):
+        harness._mean_field(space, np.zeros((space.dimension, 1), dtype=complex), 0)
 
 
 def test_nonlinear_operator_matches_column_evolution():
@@ -100,26 +103,32 @@ def test_nonlinear_operator_matches_column_evolution():
         assert np.allclose(op[:, space.index(occ)], column, atol=1e-12)
 
 
-def test_product_state_vector_and_observables():
+def test_product_state_vector_is_normalized():
     space = fock.FockSpace(1, 1, 6)
     s_amp = {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)}
     i_amp = {(0,): 1.0}
     vec = fock.product_state_vector(space, s_amp, i_amp)
     assert np.isclose(np.linalg.norm(vec), 1.0, atol=1e-12)
-    # signal number observable restricted to the zero- and one-photon sector
-    number = fock.joint_observable(
-        space, np.array([[0.0, 0.0], [0.0, 1.0]]), [(0,), (1,)], np.eye(1), [(0,)]
-    )
-    idle = Circuit(1, 1, (Pdc(0, 0, 0.0),))
-    assert np.isclose(fock.observable_expectation(idle, space, vec, number), 0.5, atol=1e-12)
 
 
-def test_observable_expectation_counts_generated_pairs():
+def test_evolved_vacuum_holds_sinh_squared_signal_photons():
     r = 0.6
     space = fock.FockSpace(1, 1, 40)
     vacuum = space.basis_vector(fock.OccupationVector((0,), (0,)))
-    number = fock.annihilation_matrix(space, "s", 0)
-    number = (number.conj().T @ number).tocsr()
-    circuit = Circuit(1, 1, (Pdc(0, 0, r),))
-    mean = fock.observable_expectation(circuit, space, vacuum, number)
+    evolved = fock.apply_circuit(Circuit(1, 1, (Pdc(0, 0, r),)), space, vacuum)
+    mean = np.sum(np.abs(evolved) ** 2 * space.counts[:, 0])
     assert np.isclose(mean, np.sinh(r) ** 2, atol=1e-10)
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    """No module of the package needs sparse matrices, so importing it loads none."""
+    src = Path(fock.__file__).parents[1]
+    probe = "import sys, ptrsim; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "[]"

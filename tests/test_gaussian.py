@@ -57,6 +57,16 @@ def test_state_validation_rejects_malformed_input():
         gaussian.GaussianState(np.zeros(2), bad_cov)  # not Hermitian
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_state_refuses_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        gaussian.GaussianState(np.array([bad, bad]), np.eye(2) / 2)
+    with pytest.raises(ValueError, match="finite"):
+        gaussian.GaussianState(np.zeros(2), np.diag([bad, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        gaussian.q_duality_residual(Circuit(1, 1, (Pdc(0, 0, 0.5),)), [bad], [0.1], [[0.2]], [[0.1]])
+
+
 def test_single_source_map_has_cosh_sinh_blocks():
     r = 0.6
     f = gaussian.symplectic_from_transfer(circuit_transfer(Circuit(1, 1, (Pdc(0, 0, r),))))
@@ -206,6 +216,18 @@ def test_q_duality_holds_at_high_gain():
     beta_i = 0.6 * (rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2)))
     residual = gaussian.q_duality_residual(high_gain_circuit(), alpha_s, alpha_i, beta_s, beta_i)
     assert residual <= 1e-8
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, math.nan)])
+def test_q_function_refuses_non_finite_probe_points(bad):
+    state = gaussian.GaussianState.vacuum(2)
+    with pytest.raises(ValueError, match="probe points must be finite"):
+        gaussian.q_function(state, [[0.1], [bad]], [[0.2], [0.3]])
+
+
+def test_sms_duality_refuses_a_nan_gain():
+    with pytest.raises(ValueError, match="gain must be nonnegative"):
+        gaussian.sms_coherent_duality_residual(math.nan, 0.3, 0.2)
 
 
 def test_singular_q_covariance_rejected():

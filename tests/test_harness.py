@@ -133,6 +133,17 @@ def test_expectation_duality_requires_hermitian_observables():
     assert residual < 1e-8
 
 
+def test_expectation_duality_refuses_an_observable_of_the_wrong_shape():
+    circuit = harness.random_circuit(310, 1, 1, 2, 0.5)
+    basis = [(0,), (1,), (2,)]
+    obs = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    for obs_s, obs_i in [(obs[:2, :2], obs), (obs, obs[:2, :2])]:
+        with pytest.raises(ValueError, match="observable shape does not match its occupation list"):
+            harness.expectation_duality_residual(
+                circuit, {(0,): 1.0}, {(0,): 1.0}, obs_s, basis, obs_i, basis, photon_cap=20
+            )
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_expectation_duality_rejects_non_finite_input(bad):
     circuit = harness.random_circuit(310, 1, 1, 2, 0.5)
