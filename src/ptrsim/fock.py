@@ -115,10 +115,10 @@ def _occupation_counts(value, n_s_paths: int, n_i_paths: int) -> tuple[tuple[int
     return s_counts, i_counts
 
 
-def _integer_error(counts) -> ValueError:
-    """The error naming the first entry of ``counts`` that is not an integer."""
-    bad = next(n for n in counts if not isinstance(n, (int, np.integer)))
-    return ValueError(f"occupation counts must be integers, got {bad!r}")
+def _integer_error(values, what: str = "occupation counts") -> ValueError:
+    """The error naming the first entry of ``values`` that is not an integer."""
+    bad = next(n for n in values if not isinstance(n, (int, np.integer)))
+    return ValueError(f"{what} must be integers, got {bad!r}")
 
 
 def as_occupation(value, n_s_paths: int, n_i_paths: int) -> OccupationVector:
@@ -654,8 +654,8 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
     Every other pair is read from one :func:`apply_circuit` per difference
     sector on :func:`sector_space`, whose columns are that sector's distinct
     inputs in lexicographic order.  Counts that are not integers, or
-    negative, or above the cap, and pair indices outside ``occupations``
-    raise ``ValueError``.
+    negative, or above the cap, and pair indices that are not integers or
+    fall outside ``occupations`` raise ``ValueError``.
     """
     n_s = circuit.n_s_paths
     counts = np.asarray(occupations)
@@ -668,7 +668,10 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
         raise ValueError("photon cap below the requested occupations")
     codes = _lex_rank(counts, photon_cap)
     differences = counts[:, :n_s].sum(axis=1) - counts[:, n_s:].sum(axis=1)
-    pairs = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
+    pairs = np.asarray(pairs)
+    if pairs.size and pairs.dtype.kind not in "biu":
+        raise _integer_error(pairs.ravel().tolist(), "pair indices")
+    pairs = pairs.astype(np.intp, copy=False).reshape(len(pairs), 2)
     outside = ((pairs < 0) | (pairs >= len(counts))).any(axis=1)
     if outside.any():
         raise ValueError(f"pair {tuple(pairs[outside][0].tolist())} indexes outside the {len(counts)} occupations")

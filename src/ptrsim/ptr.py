@@ -173,16 +173,16 @@ class PtrSetup:
     t_product: float
 
 
-def _scattering_factors(circuit: Circuit) -> list[tuple[ScatteringMatrix, float | None]]:
+def _scattering_factors(circuit: Circuit) -> list[tuple[ScatteringMatrix, Pdc | None]]:
     """Star-product factors of the substituted linear circuit, in fold order.
 
     Consecutive one-sided linear elements are merged into a single factor
     per run; each pair source becomes its hypothetical beamsplitter and is
-    tagged with its gain (``None`` tags merged linear factors).  Zero-gain
+    tagged with its element (``None`` tags merged linear factors).  Zero-gain
     pair sources are dropped.
     """
     n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
-    factors: list[tuple[ScatteringMatrix, float | None]] = []
+    factors: list[tuple[ScatteringMatrix, Pdc | None]] = []
     identity = {"s": np.eye(n_s, dtype=np.complex128), "i": np.eye(n_i, dtype=np.complex128)}
     pending = dict(identity)
     dirty = False
@@ -190,8 +190,9 @@ def _scattering_factors(circuit: Circuit) -> list[tuple[ScatteringMatrix, float 
     def flush():
         nonlocal pending, dirty
         if dirty:
-            blocks = (pending["s"], np.zeros((n_s, n_i)), np.zeros((n_i, n_s)), pending["i"].T)
-            factors.append((ScatteringMatrix(*blocks), None))
+            full = np.zeros((n_s + n_i, n_s + n_i), dtype=np.complex128)
+            full[:n_s, :n_s], full[n_s:, n_s:] = pending["s"], pending["i"].T
+            factors.append((ScatteringMatrix._wrap(full, n_s, n_i), None))
             pending = dict(identity)
             dirty = False
 
@@ -202,7 +203,7 @@ def _scattering_factors(circuit: Circuit) -> list[tuple[ScatteringMatrix, float 
         elif element.r != 0:
             flush()
             factors.append(
-                (scatter.hypothetical_bs(element.r, element.s_path, element.i_path, n_s, n_i), element.r)
+                (scatter.hypothetical_bs(element.r, element.s_path, element.i_path, n_s, n_i), element)
             )
     flush()
     return factors
@@ -217,21 +218,25 @@ def build_ptr(circuit: Circuit) -> PtrSetup:
     """Fold the substituted circuit into its dual setup and coefficient.
 
     The scattering matrix is the left-to-right star product of the factors
-    of :func:`substituted_factors`.  Each pair source contributes sech(r)
-    to the transmittance product and one cavity factor, evaluated as the
-    inverse determinant of the feedback loop between the folded prefix and
-    the incoming beamsplitter; for the leading pair source that determinant
-    is one.
+    of :func:`substituted_factors`; the star product skips the feedback
+    loops that the identity start and the one-sided linear factors leave
+    open.  Each pair source contributes sech(r) to the transmittance product
+    and one cavity factor, the inverse determinant of the feedback loop
+    between the folded prefix and its beamsplitter.  That loop has rank one,
+    so the determinant is 1 + tanh(r) * prefix.si[s_path, i_path] (the
+    matrix-determinant lemma, the looping-photon factor of
+    :func:`looping_series_defect`); for the leading pair source it is one.
     """
     current = ScatteringMatrix.identity(circuit.n_s_paths, circuit.n_i_paths)
     t_product = 1.0
     betas: list[complex] = []
-    for factor, gain in _scattering_factors(circuit):
-        if gain is not None:
-            loop = np.eye(circuit.n_s_paths, dtype=np.complex128) - current.si @ factor.is_
-            betas.append(1.0 / complex(np.linalg.det(loop)))
-            t_product *= 1.0 / math.cosh(gain)
-        current = scatter.star(current, factor)
+    for factor, source in _scattering_factors(circuit):
+        folded = scatter.star(current, factor)  # a singular loop raises here, before its factor divides by zero
+        if source is not None:
+            loop_value = math.tanh(source.r) * complex(current.si[source.s_path, source.i_path])
+            betas.append(1.0 / (1.0 + loop_value))
+            t_product *= 1.0 / math.cosh(source.r)
+        current = folded
     nc = complex(t_product * np.prod(betas) if betas else t_product)
     return PtrSetup(current, nc, tuple(betas), t_product)
 

@@ -19,15 +19,29 @@ import numpy as np
 
 from .errors import SingularCavityError
 
-#: condition-number bound on cavity feedback inverses.
+#: bound on the 1-norm condition number ||M||_1 ||M^-1||_1 of cavity feedback
+#: inverses; for n x n matrices it lies within a factor n of the 2-norm one
+#: (Higham, ACM Trans. Math. Softw. 14, 381 (1988)).
 COND_LIMIT = 1e12
 
 
-def _solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+def _inverse(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of ``matrix``; a singular or hopelessly ill-conditioned one raises :class:`SingularCavityError`."""
+    try:
+        inverse = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        raise SingularCavityError(f"{what} is singular") from None
+    # column-sum norms, multiplied as Python floats so an overflow gives inf without a RuntimeWarning
+    cond = float(np.abs(matrix).sum(axis=0).max()) * float(np.abs(inverse).sum(axis=0).max())
+    if not math.isfinite(cond) or cond > COND_LIMIT:
         raise SingularCavityError(f"{what} has condition number {cond:.3e}")
-    return np.linalg.solve(matrix, rhs)
+    return inverse
+
+
+def _finite(full: np.ndarray) -> np.ndarray:
+    if not np.isfinite(full).all():
+        raise ValueError("two-port matrix has non-finite entries")
+    return full
 
 
 class _TwoPort:
@@ -42,7 +56,7 @@ class _TwoPort:
             raise ValueError("inconsistent block shapes")
         full = np.empty((n_s + n_i, n_s + n_i), dtype=np.complex128)
         full[:n_s, :n_s], full[:n_s, n_s:], full[n_s:, :n_s], full[n_s:, n_s:] = blocks
-        self._hold(full, n_s, n_i)
+        self._hold(_finite(full), n_s, n_i)
 
     def _hold(self, full: np.ndarray, n_s: int, n_i: int) -> None:
         if n_s < 1 or n_i < 1:
@@ -61,7 +75,7 @@ class _TwoPort:
 
     @classmethod
     def _wrap(cls, full: np.ndarray, n_s: int, n_i: int):
-        """Adopt a freshly computed complex ``full`` without copying it."""
+        """Adopt a freshly computed complex ``full`` without copying or checking it."""
         out = cls.__new__(cls)
         out._hold(full, n_s, n_i)
         return out
@@ -71,7 +85,7 @@ class _TwoPort:
         full = np.array(matrix, dtype=np.complex128)  # a copy: the caller's array is never frozen
         if full.shape != (n_s + n_i, n_s + n_i):
             raise ValueError("full matrix shape does not match path counts")
-        return cls._wrap(full, n_s, n_i)
+        return cls._wrap(_finite(full), n_s, n_i)
 
     @classmethod
     def identity(cls, n_s: int, n_i: int):
@@ -93,19 +107,25 @@ def star(first: ScatteringMatrix, second: ScatteringMatrix) -> ScatteringMatrix:
 
     The feedback loop between ``first.si`` and ``second.is_`` is resolved by
     the two cavity inverses; a singular or hopelessly ill-conditioned loop
-    raises :class:`SingularCavityError`.
+    raises :class:`SingularCavityError`.  A loop whose coupling product is
+    all zero, as after the identity or a one-sided linear factor, is exactly
+    the identity and is skipped.
     """
     if first.n_s != second.n_s or first.n_i != second.n_i:
         raise ValueError("path counts disagree")
     n_s = first.n_s
-    loop_s = np.eye(n_s, dtype=np.complex128) - first.si @ second.is_
-    loop_i = np.eye(first.n_i, dtype=np.complex128) - second.is_ @ first.si
-    # each loop is solved once, for both right-hand sides side by side
-    rhs_s = np.concatenate((first.ss, first.si @ second.ii), 1)
-    through_s = second.ss @ _solve(loop_s, rhs_s, "signal-side cavity loop")
-    rhs_i = np.concatenate((second.is_ @ first.ss, second.ii), 1)
-    through_i = first.ii @ _solve(loop_i, rhs_i, "idler-side cavity loop")
-    full = np.concatenate((through_s, through_i))
+    # each loop acts once, on both right-hand sides side by side
+    through_s = np.concatenate((first.ss, first.si @ second.ii), 1)
+    coupling_s = first.si @ second.is_
+    if coupling_s.any():
+        loop_s = np.eye(n_s, dtype=np.complex128) - coupling_s
+        through_s = _inverse(loop_s, "signal-side cavity loop") @ through_s
+    through_i = np.concatenate((second.is_ @ first.ss, second.ii), 1)
+    coupling_i = second.is_ @ first.si
+    if coupling_i.any():
+        loop_i = np.eye(first.n_i, dtype=np.complex128) - coupling_i
+        through_i = _inverse(loop_i, "idler-side cavity loop") @ through_i
+    full = np.concatenate((second.ss @ through_s, first.ii @ through_i))
     full[:n_s, n_s:] += second.si
     full[n_s:, :n_s] += first.is_
     return ScatteringMatrix._wrap(full, n_s, first.n_i)
@@ -120,7 +140,7 @@ def _coupler(cls, diagonal: float, to_signal: float, to_idler: float, s_path, i_
     full[s_path, s_path] = full[idler, idler] = diagonal
     full[s_path, idler] = to_signal
     full[idler, s_path] = to_idler
-    return cls.from_full(full, n_s, n_i)
+    return cls._wrap(_finite(full), n_s, n_i)
 
 
 def hypothetical_bs(r: float, s_path: int, i_path: int, n_s: int, n_i: int) -> ScatteringMatrix:
@@ -151,7 +171,7 @@ class TransferMatrix(_TwoPort):
 
 def scattering_to_transfer(matrix: ScatteringMatrix) -> TransferMatrix:
     """Reblock (signal, idler) in -> out as (signal in, idler out) -> (signal out, idler in)."""
-    ii_inv = _solve(matrix.ii, np.eye(matrix.n_i, dtype=np.complex128), "scattering ii block")
+    ii_inv = _inverse(matrix.ii, "scattering ii block")
     return TransferMatrix(
         matrix.ss - matrix.si @ ii_inv @ matrix.is_, matrix.si @ ii_inv, -ii_inv @ matrix.is_, ii_inv
     )
@@ -172,7 +192,7 @@ def linear_transfer(unitary: np.ndarray, side: str, n_s: int, n_i: int) -> Trans
     if unitary.shape != block.shape:
         raise ValueError(f"unitary of shape {unitary.shape} does not fit side {side!r}")
     block[...] = unitary if side == "s" else unitary.conj()
-    return TransferMatrix.from_full(full, n_s, n_i)
+    return TransferMatrix._wrap(_finite(full), n_s, n_i)
 
 
 def symplectic_defect(matrix: TransferMatrix) -> float:
@@ -205,7 +225,7 @@ def block_relation_defect(matrix: TransferMatrix) -> float:
 
 def v_matrix(matrix: TransferMatrix) -> np.ndarray:
     """Upper-triangular factor [[I, -T_si T_ii^-1], [0, -T_ii^-1]]."""
-    ii_inv = _solve(matrix.ii, np.eye(matrix.n_i, dtype=np.complex128), "transfer ii block")
+    ii_inv = _inverse(matrix.ii, "transfer ii block")
     top = np.hstack([np.eye(matrix.n_s, dtype=np.complex128), -matrix.si @ ii_inv])
     bottom = np.hstack([np.zeros((matrix.n_i, matrix.n_s), dtype=np.complex128), -ii_inv])
     return np.vstack([top, bottom])

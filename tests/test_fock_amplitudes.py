@@ -173,3 +173,14 @@ def test_batched_amplitudes_refuse_pairs_outside_the_occupations(pair):
     assert fock.postselection_amplitudes(circuit, keys, [(0, 1)], 20, None)[0] != 0
     with pytest.raises(ValueError, match="outside the 2 occupations"):
         fock.postselection_amplitudes(circuit, keys, [(0, 1), pair], 20, None)
+
+
+def test_batched_amplitudes_refuse_non_integer_pair_indices():
+    """The pair (0.7, 1.2) would otherwise be read as (0, 1)."""
+    circuit = harness.random_circuit(7, 1, 1, 1, 0.5)
+    keys = [(0, 0), (1, 1)]
+    expected = fock.postselection_amplitudes(circuit, keys, [(0, 1)], 20, None)
+    for pairs in ([[0, 1]], np.array([[0, 1]], dtype=np.int32), np.array([[0, 1]], dtype=np.uint8)):
+        assert np.array_equal(fock.postselection_amplitudes(circuit, keys, pairs, 20, None), expected)
+    with pytest.raises(ValueError, match="pair indices must be integers, got 0.7"):
+        fock.postselection_amplitudes(circuit, keys, [(0.7, 1.2)], 20, None)

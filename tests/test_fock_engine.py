@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ptrsim import fock
+from ptrsim import fock, gaussian, ptr, scatter
 from ptrsim.errors import TruncationLeakError
 from ptrsim.ptr import Circuit, LinearI, LinearS, Pdc, PhaseI, PhaseS
 
@@ -207,12 +207,10 @@ def test_leak_guard_regression():
     assert np.isclose(np.linalg.norm(out), 1.0, atol=1e-13)
 
 
-def test_brute_side_borrows_nothing_from_the_dual_side():
-    """fock.py imports neither permanents (linamp) nor scattering maths (scatter),
-    at module level or inside a function, so the two arms fail independently."""
-    tree = ast.parse(Path(fock.__file__).read_text())
+def imported_names(module) -> set[str]:
+    """Every dotted-name part a module imports, at module level or inside a function."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -220,5 +218,20 @@ def test_brute_side_borrows_nothing_from_the_dual_side():
         else:
             continue
         imported.update(part for name in names for part in name.split("."))
+    return imported
+
+
+def test_brute_side_borrows_nothing_from_the_dual_side():
+    """fock.py imports neither permanents (linamp) nor scattering maths (scatter),
+    at module level or inside a function, so the two arms fail independently."""
+    imported = imported_names(fock)
     assert "ptr" in imported  # the walk sees the local import of the element types
     assert not imported & {"linamp", "scatter"}
+
+
+@pytest.mark.parametrize("module", [scatter, ptr, gaussian], ids=lambda module: module.__name__)
+def test_star_fold_and_gaussian_arm_import_no_scipy(module):
+    """The cavity solves stay in numpy: a scipy LAPACK call on the Q-function
+    path faults in scipy's bundled BLAS and adds about 1.4 MiB of peak RSS."""
+    assert "numpy" in imported_names(module)
+    assert "scipy" not in imported_names(module)

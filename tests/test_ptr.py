@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ptrsim import scatter
+from ptrsim import harness, scatter
 from ptrsim.ptr import (
     Circuit,
     LinearI,
@@ -25,6 +25,7 @@ from ptrsim.ptr import (
     substituted_factors,
     verify_special_cancellation,
 )
+from test_gaussian import high_gain_circuit
 
 
 def haar(dim: int, seed: int) -> np.ndarray:
@@ -91,6 +92,36 @@ def test_substituted_factors_rebuild_the_network():
     for factor in factors[1:]:
         combined = scatter.star(combined, factor)
     assert np.allclose(combined.full, setup.scattering.full, atol=1e-13)
+
+
+def determinant_oracle(circuit: Circuit):
+    """Star fold of the substituted factors; each cavity factor is 1/det of its feedback loop."""
+    current = scatter.ScatteringMatrix.identity(circuit.n_s_paths, circuit.n_i_paths)
+    betas = []
+    for factor in substituted_factors(circuit):
+        if factor.is_.any():  # a pair source's beamsplitter; merged linear factors have no is_ block
+            loop = np.eye(circuit.n_s_paths) - current.si @ factor.is_
+            betas.append(1.0 / np.linalg.det(loop))
+        current = scatter.star(current, factor)
+    t_product = math.prod(1 / math.cosh(el.r) for el in circuit.elements if isinstance(el, Pdc) and el.r)
+    return current.full, t_product * np.prod(betas), betas
+
+
+def oracle_circuits():
+    for seed, (n_s, n_i) in enumerate([(1, 1), (2, 1), (2, 2), (3, 2), (4, 1), (4, 2)]):
+        for max_r in (0.5, 1.2):
+            yield harness.random_circuit(seed, n_s, n_i, 3, max_r)
+    yield high_gain_circuit()
+
+
+@pytest.mark.parametrize("circuit", list(oracle_circuits()))
+def test_closed_form_cavity_factors_match_loop_determinants(circuit):
+    full, nc, betas = determinant_oracle(circuit)
+    setup = build_ptr(circuit)
+    assert np.abs(setup.scattering.full - full).max() <= 1e-13
+    assert abs(setup.nc - nc) <= 1e-13 * abs(nc)
+    assert len(setup.beta_factors) == len(betas) == circuit.pdc_count
+    assert np.all(np.abs(np.subtract(setup.beta_factors, betas)) <= 1e-13 * np.abs(betas))
 
 
 def test_circuit_transfer_matches_scattering_conversion():

@@ -38,10 +38,13 @@ def random_scatterings(seed: int, count: int, n_s: int = 2, n_i: int = 2):
 
 
 def test_identity_is_neutral_for_star():
-    (factor,) = random_scatterings(0, 1)
-    eye = scatter.ScatteringMatrix.identity(factor.n_s, factor.n_i)
-    assert np.allclose(scatter.star(eye, factor).full, factor.full, atol=1e-14)
-    assert np.allclose(scatter.star(factor, eye).full, factor.full, atol=1e-14)
+    # next to the identity both coupling products are zero, so star skips both
+    # loops and only multiplies by exact ones and zeros
+    factors = random_scatterings(0, 3, 3, 2) + [scatter.star(*random_scatterings(1, 3, 3, 2)[:2])]
+    for factor in factors:
+        eye = scatter.ScatteringMatrix.identity(factor.n_s, factor.n_i)
+        assert np.array_equal(scatter.star(eye, factor).full, factor.full)
+        assert np.array_equal(scatter.star(factor, eye).full, factor.full)
 
 
 def test_full_matrix_is_built_once_and_read_only():
@@ -159,6 +162,52 @@ def test_singular_cavity_raises():
     second = scatter.ScatteringMatrix(np.array([[0.0]]), np.array([[0.0]]), si, np.array([[0.0]]))
     with pytest.raises(SingularCavityError):
         scatter.star(first, second)
+
+
+@pytest.mark.parametrize("exponent,singular", [(39, False), (40, True)])
+def test_cavity_guard_bounds_the_one_norm_condition_number(exponent, singular):
+    # both loops are diag(1, 2^-exponent): condition number 2^39 = 5.5e11 passes, 2^40 = 1.1e12 does not
+    zero = np.zeros((2, 2))
+    first = scatter.ScatteringMatrix(zero, np.diag([0.0, 1.0 - 2.0**-exponent]), zero, zero)
+    second = scatter.ScatteringMatrix(zero, zero, np.eye(2), zero)
+    assert (2.0**exponent > scatter.COND_LIMIT) == singular
+    if singular:
+        with pytest.raises(SingularCavityError, match="signal-side cavity loop has condition number 1.100e"):
+            scatter.star(first, second)
+    else:
+        assert np.isfinite(scatter.star(first, second).full).all()
+
+
+def test_singular_ii_block_raises():
+    blocks = (np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(SingularCavityError, match="scattering ii block"):
+        scatter.scattering_to_transfer(scatter.ScatteringMatrix(*blocks))
+    with pytest.raises(SingularCavityError, match="transfer ii block"):
+        scatter.v_matrix(scatter.TransferMatrix(*blocks))
+
+
+@pytest.mark.parametrize("cls", [scatter.ScatteringMatrix, scatter.TransferMatrix])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_two_ports_are_refused(cls, bad):
+    full = np.eye(2, dtype=np.complex128)
+    full[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        cls.from_full(full, 1, 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        cls(full[:1, :1], full[:1, 1:], full[1:, :1], full[1:, 1:])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: scatter.hypothetical_bs(math.nan, 0, 0, 1, 1),
+        lambda: scatter.bs_transfer(math.inf, 0, 0, 1, 1),
+        lambda: scatter.linear_transfer(np.array([[math.nan]]), "i", 1, 1),
+    ],
+)
+def test_two_port_builders_refuse_non_finite_parameters(build):
+    with pytest.raises(ValueError, match="non-finite"):
+        build()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
