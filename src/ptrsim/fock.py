@@ -45,7 +45,6 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DimensionOverflowError, TruncationLeakError
 
@@ -415,16 +414,23 @@ def auto_photon_cap(requested_photons: int, total_gain: float) -> int:
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
-@lru_cache(maxsize=128)
+#: ladder decompositions kept by :func:`_ladder_modes`: criterion 05's portfolio
+#: builds 324 distinct (difference, length) keys, and each dense ``eigh`` is O(length^3).
+LADDER_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=LADDER_CACHE_SIZE)
 def _ladder_modes(diff: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvector columns of the ladder matrix S, read-only.
 
     S is real symmetric tridiagonal with S[j, j-1] = S[j-1, j] =
     sqrt(j (j + diff)): rung j of a ladder of ``length`` rungs, cut at the
-    top, holds (diff + j, j) photons on the pair (either order).
+    top, holds (diff + j, j) photons on the pair (either order).  numpy's
+    dense ``eigh`` decomposes it, once per key and process.
     """
     rung = np.arange(1, length)
-    values, vectors = eigh_tridiagonal(np.zeros(length), np.sqrt(rung * (rung + diff)))
+    off = np.sqrt(rung * (rung + diff))
+    values, vectors = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
     return _frozen(values), _frozen(vectors)
 
 
@@ -660,7 +666,8 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
     n_s = circuit.n_s_paths
     counts = np.asarray(occupations)
     if counts.size and counts.dtype.kind not in "biu":
-        raise _integer_error(counts.ravel().tolist())
+        # the caller's rows, not ``counts``: numpy upcasts whole entries next to a bad one
+        raise _integer_error(itertools.chain.from_iterable(occupations))
     counts = counts.astype(np.int64, copy=False).reshape(len(occupations), n_s + circuit.n_i_paths)
     if counts.size and counts.min() < 0:
         raise ValueError("occupation counts must be nonnegative")
@@ -668,10 +675,10 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
         raise ValueError("photon cap below the requested occupations")
     codes = _lex_rank(counts, photon_cap)
     differences = counts[:, :n_s].sum(axis=1) - counts[:, n_s:].sum(axis=1)
-    pairs = np.asarray(pairs)
-    if pairs.size and pairs.dtype.kind not in "biu":
-        raise _integer_error(pairs.ravel().tolist(), "pair indices")
-    pairs = pairs.astype(np.intp, copy=False).reshape(len(pairs), 2)
+    index = np.asarray(pairs)
+    if index.size and index.dtype.kind not in "biu":
+        raise _integer_error(itertools.chain.from_iterable(pairs), "pair indices")
+    pairs = index.astype(np.intp, copy=False).reshape(len(pairs), 2)
     outside = ((pairs < 0) | (pairs >= len(counts))).any(axis=1)
     if outside.any():
         raise ValueError(f"pair {tuple(pairs[outside][0].tolist())} indexes outside the {len(counts)} occupations")

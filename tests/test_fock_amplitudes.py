@@ -184,3 +184,18 @@ def test_batched_amplitudes_refuse_non_integer_pair_indices():
         assert np.array_equal(fock.postselection_amplitudes(circuit, keys, pairs, 20, None), expected)
     with pytest.raises(ValueError, match="pair indices must be integers, got 0.7"):
         fock.postselection_amplitudes(circuit, keys, [(0.7, 1.2)], 20, None)
+
+
+@pytest.mark.parametrize(
+    "occupations,pairs,message",
+    [
+        ([(0, 0), (1, 1)], [(0, 1), (0.7, 1)], "pair indices must be integers, got 0.7"),
+        ([(1, 0), (1.5, 0)], [(0, 1)], "occupation counts must be integers, got 1.5"),
+    ],
+    ids=["pairs", "occupations"],
+)
+def test_batched_amplitudes_name_the_entry_that_is_not_an_integer(occupations, pairs, message):
+    """numpy upcasts a mixed list to float, so the cast array would name the whole 0 or 1 first."""
+    circuit = harness.random_circuit(7, 1, 1, 1, 0.5)
+    with pytest.raises(ValueError, match=message):
+        fock.postselection_amplitudes(circuit, occupations, pairs, 20, None)

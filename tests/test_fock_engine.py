@@ -1,7 +1,9 @@
 """The block engine against the dense generator oracle on random circuits."""
 
 import ast
+import importlib
 import math
+import pkgutil
 from pathlib import Path
 
 import mpmath
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ptrsim import fock, gaussian, ptr, scatter
+import ptrsim
+from ptrsim import fock
 from ptrsim.errors import TruncationLeakError
 from ptrsim.ptr import Circuit, LinearI, LinearS, Pdc, PhaseI, PhaseS
 
@@ -117,6 +120,16 @@ def test_ladder_block_matches_dense_expm(diff):
         assert np.max(np.abs(got - oracles.ladder_exp(diff, length, r))) <= 1e-12, (length, r)
         assert np.max(np.abs(got.conj().T @ got - eye)) <= 1e-13, (length, r)
         assert np.max(np.abs(ladder_block(diff, length, 0.0) - eye)) <= 1e-13, length
+
+
+@pytest.mark.parametrize(
+    "diff,length,r", [(0, 200, 1.0), (3, 200, 3.0), (2, 200, 3.5), (1, 400, 1.7), (5, 400, 2.3), (7, 400, 3.5)]
+)
+def test_long_ladder_block_matches_dense_expm(diff, length, r):
+    """High-gain checks need caps of several hundred photons, where the dense ladder decomposition is longest."""
+    got = ladder_block(diff, length, r)
+    assert np.max(np.abs(got - oracles.ladder_exp(diff, length, r))) <= 1e-12
+    assert np.max(np.abs(got.conj().T @ got - np.eye(length))) <= 1e-13
 
 
 def test_ladder_block_acts_on_every_ladder_and_column():
@@ -229,9 +242,15 @@ def test_brute_side_borrows_nothing_from_the_dual_side():
     assert not imported & {"linamp", "scatter"}
 
 
-@pytest.mark.parametrize("module", [scatter, ptr, gaussian], ids=lambda module: module.__name__)
+#: the package and every module in it
+PACKAGE_MODULES = [ptrsim] + [
+    importlib.import_module(f"ptrsim.{info.name}") for info in pkgutil.iter_modules(ptrsim.__path__)
+]
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES, ids=lambda module: module.__name__)
 def test_star_fold_and_gaussian_arm_import_no_scipy(module):
-    """The cavity solves stay in numpy: a scipy LAPACK call on the Q-function
-    path faults in scipy's bundled BLAS and adds about 1.4 MiB of peak RSS."""
-    assert "numpy" in imported_names(module)
+    """The runtime is numpy only, in every module.  A scipy LAPACK call on the
+    Q-function path faults in scipy's bundled BLAS, and importing scipy.linalg
+    alone roughly triples the package's import time and doubles its peak RSS."""
     assert "scipy" not in imported_names(module)
