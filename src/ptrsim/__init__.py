@@ -7,7 +7,7 @@ from .errors import (
     SingularCavityError,
     TruncationLeakError,
 )
-from .fock import FockSpace, OccupationVector, enumerate_basis, nonlinear_postselection_amplitude
+from .fock import FockSpace, enumerate_basis, nonlinear_postselection_amplitude
 from .gaussian import GaussianState, SymplecticMap, q_duality_residual, symplectic_from_transfer
 from .harness import VerificationReport, random_circuit, run_reference_examples, teleportation_demo
 from .linamp import DualityReport, permanent, ptr_postselection_amplitude, verify_duality
@@ -23,7 +23,6 @@ __all__ = [
     "GaussianState",
     "LinearI",
     "LinearS",
-    "OccupationVector",
     "Pdc",
     "PhaseI",
     "PhaseS",

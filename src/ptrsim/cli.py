@@ -269,20 +269,26 @@ def _cmd_ptr(args) -> tuple[int, dict, list[str]]:
     return EXIT_PASS, payload, lines
 
 
+def _occupation_text(row, n_s: int) -> str:
+    """A count row, signal paths first, in the syntax of ``--input``."""
+    return ",".join(map(str, row[:n_s])) + ";" + ",".join(map(str, row[n_s:]))
+
+
 def _cmd_amp(args) -> tuple[int, dict, list[str]]:
     circuit = _load_circuit(args.circuit)
-    occ_in = _parse_occupation(args.input, circuit.n_s_paths, circuit.n_i_paths)
-    occ_out = _parse_occupation(args.output, circuit.n_s_paths, circuit.n_i_paths)
-    setup = build_ptr(circuit)
-    dual = linamp.ptr_postselection_amplitude(setup, occ_in, occ_out)
-    brute = fock.nonlinear_postselection_amplitude(circuit, occ_in, occ_out, photon_cap=args.cutoff)
-    residual = abs(brute - dual) / max(abs(brute), abs(dual), 1e-300)
+    s_in, i_in = _parse_occupation(args.input, circuit.n_s_paths, circuit.n_i_paths)
+    s_out, i_out = _parse_occupation(args.output, circuit.n_s_paths, circuit.n_i_paths)
+    report = linamp.compare_amplitudes(
+        circuit, [s_in + i_in, s_out + i_out], [(0, 1)], photon_cap=args.cutoff, leak_tol=fock.DEFAULT_LEAK_TOL
+    )
+    brute, dual = complex(report.nonlinear[0]), complex(report.dual[0])
+    residual = float(report.rel_residual[0])
     payload = {
         "input": args.input,
         "output": args.output,
         "nonlinear_amplitude": _encode_complex(brute),
         "ptr_amplitude": _encode_complex(dual),
-        "abs_residual": abs(brute - dual),
+        "abs_residual": float(report.abs_residual[0]),
         "rel_residual": residual,
     }
     lines = [
@@ -305,6 +311,7 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
         seed=_seed(args),
         leak_tol=fock.DEFAULT_LEAK_TOL,
     )
+    worst_input, worst_output = (_occupation_text(row, circuit.n_s_paths) for row in report.worst_pair)
     payload = {
         "photon_budget": report.photon_budget,
         "photon_cap": report.photon_cap,
@@ -312,12 +319,15 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
         "nc": _encode_complex(report.nc),
         "max_abs_residual": report.max_abs_residual,
         "max_rel_residual": report.max_rel_residual,
+        "worst_input": worst_input,
+        "worst_output": worst_output,
     }
     lines = [
         f"pairs checked: {len(report.comparisons)} (budget {report.photon_budget}, cap {report.photon_cap})",
         f"nc: {report.nc:.15g}",
         f"max abs residual: {report.max_abs_residual:.3e}",
         f"max rel residual: {report.max_rel_residual:.3e}",
+        f"worst pair: {worst_input} -> {worst_output}",
     ]
     return _verdict(report.max_rel_residual, args.tol), payload, lines
 

@@ -40,8 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -56,56 +55,16 @@ DIM_LIMIT = 4_000_000
 DEFAULT_LEAK_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class OccupationVector:
-    """Photon counts on every signal path and every idler path."""
-
-    s_counts: tuple[int, ...]
-    i_counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _nonnegative(self.s_counts)
-        _nonnegative(self.i_counts)
-
-    @property
-    def total_s(self) -> int:
-        return sum(self.s_counts)
-
-    @property
-    def total_i(self) -> int:
-        return sum(self.i_counts)
-
-    @property
-    def total(self) -> int:
-        return self.total_s + self.total_i
-
-    @property
-    def difference(self) -> int:
-        """Conserved signal-minus-idler photon number."""
-        return self.total_s - self.total_i
-
-    def key(self) -> tuple[int, ...]:
-        """Concatenated counts, signal paths first."""
-        return self.s_counts + self.i_counts
-
-
-def _nonnegative(counts: tuple[int, ...]) -> None:
-    if counts and min(counts) < 0:
-        raise ValueError(f"occupation counts must be nonnegative, got {counts}")
-
-
 def _occupation_counts(value, n_s_paths: int, n_i_paths: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Checked (signal, idler) count tuples of ``value``: integers, none negative, on the given paths."""
-    if isinstance(value, OccupationVector):
-        s_counts, i_counts = value.s_counts, value.i_counts
-    else:
-        s_counts, i_counts = value
-        try:
-            s_counts, i_counts = tuple(map(operator.index, s_counts)), tuple(map(operator.index, i_counts))
-        except TypeError:
-            raise _integer_error((*s_counts, *i_counts)) from None
-        _nonnegative(s_counts)
-        _nonnegative(i_counts)
+    """Checked (signal, idler) count tuples of the pair ``value``: integers, none negative, on the given paths."""
+    s_counts, i_counts = value
+    try:
+        s_counts, i_counts = tuple(map(operator.index, s_counts)), tuple(map(operator.index, i_counts))
+    except TypeError:
+        raise _integer_error((*s_counts, *i_counts)) from None
+    for counts in (s_counts, i_counts):
+        if counts and min(counts) < 0:
+            raise ValueError(f"occupation counts must be nonnegative, got {counts}")
     if len(s_counts) != n_s_paths or len(i_counts) != n_i_paths:
         raise ValueError(
             f"occupation has {len(s_counts)}+{len(i_counts)} paths, "
@@ -115,15 +74,13 @@ def _occupation_counts(value, n_s_paths: int, n_i_paths: int) -> tuple[tuple[int
 
 
 def _integer_error(values, what: str = "occupation counts") -> ValueError:
-    """The error naming the first entry of ``values`` that is not an integer."""
-    bad = next(n for n in values if not isinstance(n, (int, np.integer)))
+    """The error naming the first entry of ``values`` that is not an integer, or else not a 64-bit one."""
+    values = list(values)
+    bad = next((n for n in values if not isinstance(n, (int, np.integer))), None)
+    if bad is None:  # numpy holds integers beyond 64 bits as objects
+        bad = next(n for n in values if not -(2**63) <= n < 2**63)
+        return ValueError(f"{what} must fit in 64 bits, got {bad!r}")
     return ValueError(f"{what} must be integers, got {bad!r}")
-
-
-def as_occupation(value, n_s_paths: int, n_i_paths: int) -> OccupationVector:
-    """Coerce ``value`` (OccupationVector or pair of sequences) and check it."""
-    counts = _occupation_counts(value, n_s_paths, n_i_paths)
-    return value if isinstance(value, OccupationVector) else OccupationVector(*counts)
 
 
 def _compositions(n_modes: int, total: int) -> np.ndarray:
@@ -222,7 +179,10 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class FockSpace:
-    """Bijection between occupation vectors under a global photon cap and indices.
+    """Bijection between occupations under a global photon cap and indices.
+
+    ``counts`` holds one row of photon counts per basis state, signal paths
+    first; single occupations go in as (signal counts, idler counts) pairs.
 
     Args:
         n_s_paths: number of signal paths.
@@ -267,11 +227,6 @@ class FockSpace:
     def dimension(self) -> int:
         return len(self.counts)
 
-    @cached_property
-    def states(self) -> tuple[OccupationVector, ...]:
-        n_s = self.n_s_paths
-        return tuple(OccupationVector(tuple(row[:n_s]), tuple(row[n_s:])) for row in self.counts.tolist())
-
     def indices(self, counts) -> np.ndarray:
         """Basis index of every occupation row of ``counts``; -1 for rows outside the basis."""
         n_s = self.n_s_paths
@@ -283,17 +238,16 @@ class FockSpace:
         found[inside] = np.searchsorted(self._codes, _lex_rank(counts[inside], self.photon_cap))
         return found
 
-    def __contains__(self, occ) -> bool:
-        return self.indices(as_occupation(occ, self.n_s_paths, self.n_i_paths).key())[0] >= 0
-
     def index(self, occ) -> int:
-        occ = as_occupation(occ, self.n_s_paths, self.n_i_paths)
-        j = int(self.indices(occ.key())[0])
+        """Basis index of the (signal counts, idler counts) pair ``occ``."""
+        s_counts, i_counts = _occupation_counts(occ, self.n_s_paths, self.n_i_paths)
+        j = int(self.indices(s_counts + i_counts)[0])
         if j < 0:
-            raise ValueError(f"{occ} is not in this truncated basis")
+            raise ValueError(f"{(s_counts, i_counts)} is not in this truncated basis")
         return j
 
     def basis_vector(self, occ) -> np.ndarray:
+        """One-hot column of the (signal counts, idler counts) pair ``occ``."""
         vec = np.zeros(self.dimension, dtype=np.complex128)
         vec[self.index(occ)] = 1.0
         return vec

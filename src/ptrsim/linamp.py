@@ -5,12 +5,12 @@ network's submatrix over the occupied modes, rows and columns repeated by
 their counts.  Ryser's formula is summed over the repeats, with each
 distinct row raised to the power of its multiplicity, so the dual arm
 never builds the repeated submatrix.  The amplitudes work on plain count
-tuples from the one occupation check in :mod:`fock` on; an
-:class:`~ptrsim.fock.OccupationVector` is built only where a report holds
-one.  The verifier pits those amplitudes, scaled by the normalization
-coefficient of the dual setup, against brute-force truncated Fock-space
-amplitudes of the nonlinear circuit from
-:func:`ptrsim.fock.postselection_amplitudes`.
+tuples from the one occupation check in :mod:`fock` on.
+:func:`compare_amplitudes` pits those amplitudes, scaled by the
+normalization coefficient of the dual setup, against brute-force truncated
+Fock-space amplitudes of the nonlinear circuit from
+:func:`ptrsim.fock.postselection_amplitudes`; both the budget sweep
+:func:`verify_duality` and the single-pair ``ptrsim amp`` go through it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from . import fock, ptr
 from .errors import DimensionOverflowError
-from .fock import OccupationVector
 from .ptr import Circuit, PtrSetup
 from .scatter import ScatteringMatrix
 
@@ -157,34 +156,81 @@ def ptr_postselection_amplitude(setup: PtrSetup, input_occ, output_occ) -> compl
     return setup.nc * _counts_amplitude(setup.scattering.full, s_in + i_out, s_out + i_in)
 
 
-@dataclass(frozen=True)
-class AmplitudeComparison:
-    """One brute-force versus dual-picture amplitude pair."""
-
-    input: OccupationVector
-    output: OccupationVector
-    nonlinear: complex
-    dual: complex
-    abs_residual: float
-    rel_residual: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualityReport:
-    """Result of sweeping the duality over a photon budget; a NaN residual makes its maxima NaN."""
+    """Brute-force against dual-picture amplitudes over index pairs of occupation rows.
 
-    photon_budget: int
+    ``occupations`` holds count rows, signal paths first.  Row k of the
+    (P, 2) array ``comparisons`` holds the input and output row indices of
+    pair k, whose amplitudes and residuals are entry k of ``nonlinear``,
+    ``dual``, ``abs_residual`` and ``rel_residual``.  Every array is
+    read-only.  A NaN residual makes the maxima NaN and is the worst pair.
+    """
+
     photon_cap: int
     nc: complex
-    comparisons: tuple[AmplitudeComparison, ...]
+    occupations: np.ndarray
+    comparisons: np.ndarray
+    nonlinear: np.ndarray
+    dual: np.ndarray
+    abs_residual: np.ndarray
+    rel_residual: np.ndarray
+
+    @property
+    def photon_budget(self) -> int:
+        """Most photons on any occupation row."""
+        return int(self.occupations.sum(axis=1).max(initial=0))
 
     @property
     def max_abs_residual(self) -> float:
-        return float(np.max([c.abs_residual for c in self.comparisons], initial=0.0))
+        return float(np.max(self.abs_residual, initial=0.0))
 
     @property
     def max_rel_residual(self) -> float:
-        return float(np.max([c.rel_residual for c in self.comparisons], initial=0.0))
+        return float(np.max(self.rel_residual, initial=0.0))
+
+    @property
+    def worst_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Count rows in and out at the largest relative residual, a NaN first; None without pairs."""
+        if not len(self.rel_residual):
+            return None
+        a, b = self.comparisons[int(np.argmax(self.rel_residual))]  # argmax stops at the first NaN
+        return tuple(self.occupations[a].tolist()), tuple(self.occupations[b].tolist())
+
+
+def compare_amplitudes(
+    circuit: Circuit,
+    occupations,
+    pairs,
+    photon_cap: int | None = None,
+    leak_tol: float | None = None,
+) -> DualityReport:
+    """Brute force against the dual picture on every index pair (a, b) of ``pairs``.
+
+    ``occupations`` holds count rows, signal paths first; pair (a, b) takes
+    row a in and row b out.  The brute-force side comes from
+    :func:`fock.postselection_amplitudes`, which checks the rows and pairs,
+    and the dual side from :func:`ptr_postselection_amplitude`, once per
+    pair.  The cap defaults to :func:`fock.auto_photon_cap` of the fullest
+    row.  Amplitude pairs whose magnitudes both fall below ``ATOL`` count
+    as residual zero; a NaN amplitude leaves a NaN residual.
+    """
+    if photon_cap is None:
+        photon_cap = fock.auto_photon_cap(max(map(sum, occupations), default=0), circuit.total_gain)
+    nonlinear = fock.postselection_amplitudes(circuit, occupations, pairs, photon_cap, leak_tol)
+    setup = ptr.build_ptr(circuit)
+    n_s = circuit.n_s_paths
+    counts = np.asarray(occupations, dtype=np.int64).reshape(len(occupations), n_s + circuit.n_i_paths)
+    comparisons = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
+    rows = [(tuple(row[:n_s]), tuple(row[n_s:])) for row in counts.tolist()]
+    dual = [ptr_postselection_amplitude(setup, rows[a], rows[b]) for a, b in comparisons.tolist()]
+    dual = np.array(dual, dtype=np.complex128)
+    abs_residual = np.abs(nonlinear - dual)
+    scale = np.maximum(np.abs(nonlinear), np.abs(dual))  # NaN next to a NaN amplitude, so the residual stays NaN
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel_residual = np.where(scale < ATOL, 0.0, abs_residual / scale)
+    arrays = (counts, comparisons, nonlinear, dual, abs_residual, rel_residual)
+    return DualityReport(photon_cap, setup.nc, *map(fock._frozen, arrays))
 
 
 def verify_duality(
@@ -200,11 +246,10 @@ def verify_duality(
     All conservation-allowed (input, output) pairs with at most
     ``photon_budget`` photons on each side are enumerated in lexicographic
     order; ``sample_count`` (at least one) draws a seeded subsample without
-    replacement (enumeration order is preserved).  The brute-force side
-    comes from :func:`fock.postselection_amplitudes`, one evolution per
-    difference sector; ``photon_cap`` may not be below ``photon_budget``, or
-    inputs would fall outside it.  Amplitude pairs whose magnitudes both
-    fall below ``ATOL`` count as residual zero.
+    replacement (enumeration order is preserved).  The pairs go to
+    :func:`compare_amplitudes`, one brute-force evolution per difference
+    sector; ``photon_cap`` may not be below ``photon_budget``, or inputs
+    would fall outside it.
 
     The dual side involves no truncation, so truncation damage on the brute
     side shows up directly in the residuals and the state-level leak guard is
@@ -218,27 +263,15 @@ def verify_duality(
         photon_cap = fock.auto_photon_cap(photon_budget, circuit.total_gain)
     if photon_cap < photon_budget:
         raise ValueError(f"photon cap {photon_cap} is below the photon budget {photon_budget}")
-    setup = ptr.build_ptr(circuit)
     n_s = circuit.n_s_paths
     keys = fock.occupations_upto(n_s + circuit.n_i_paths, photon_budget)
-    occupations = [OccupationVector(key[:n_s], key[n_s:]) for key in keys]
-    differences = [occ.difference for occ in occupations]
+    differences = [sum(key[:n_s]) - sum(key[n_s:]) for key in keys]
     pairs = [(a, b) for a, d_a in enumerate(differences) for b, d_b in enumerate(differences) if d_a == d_b]
     if sample_count is not None and sample_count < len(pairs):
         rng = np.random.default_rng(seed)
         chosen = np.sort(rng.choice(len(pairs), size=sample_count, replace=False))
         pairs = [pairs[int(k)] for k in chosen]
-
-    nonlinear = fock.postselection_amplitudes(circuit, keys, pairs, photon_cap, leak_tol)
-    comparisons = []
-    for (a, b), brute in zip(pairs, nonlinear.tolist()):
-        occ_in, occ_out = occupations[a], occupations[b]
-        dual = ptr_postselection_amplitude(setup, occ_in, occ_out)
-        abs_res = abs(brute - dual)
-        denom = max(abs(brute), abs(dual))  # may drop a NaN amplitude; abs_res keeps it
-        rel_res = abs_res if math.isnan(abs_res) else 0.0 if denom < ATOL else abs_res / denom
-        comparisons.append(AmplitudeComparison(occ_in, occ_out, brute, dual, abs_res, rel_res))
-    return DualityReport(photon_budget, photon_cap, setup.nc, tuple(comparisons))
+    return compare_amplitudes(circuit, keys, pairs, photon_cap, leak_tol)
 
 
 def four_photon_awp_amplitude(setup: PtrSetup, s_pair: Sequence[int], i_pair: Sequence[int]) -> complex:

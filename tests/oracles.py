@@ -197,7 +197,7 @@ def grid_quadrature_2d(values: np.ndarray, step: float) -> float:
 #
 # These reproduce the package's former evolution route: whole-space sparse
 # anti-Hermitian generators built state by state, exponentiated densely.
-# They share only the basis order (``space.states``) with the package.
+# They share only the basis order (``space.counts``) with the package.
 # ---------------------------------------------------------------------------
 
 
@@ -215,7 +215,7 @@ def state_vector(space, amplitudes, normalize: bool = False) -> np.ndarray:
 
 
 def _basis_lookup(space) -> dict[tuple[int, ...], int]:
-    return {state.key(): j for j, state in enumerate(space.states)}
+    return {tuple(row): j for j, row in enumerate(space.counts.tolist())}
 
 
 def pdc_generator(space, s_path: int, i_path: int, r: float) -> scipy.sparse.csr_matrix:

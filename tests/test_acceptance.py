@@ -38,20 +38,16 @@ def test_criterion_01_single_device_duality():
         setup = build_ptr(circuit)
         for delta in range(-budget, budget + 1):
             space = fock.FockSpace(1, 1, cap, delta=delta)
-            occupations = [
-                occ for occ in space.states if occ.s_counts[0] <= budget and occ.i_counts[0] <= budget
-            ]
+            counts = [(s, i) for s, i in space.counts.tolist() if s <= budget and i <= budget]
             # the closed-form comparison below detects truncation directly,
             # so the coarse state-level leak guard is not needed here
-            block = np.stack([space.basis_vector(occ) for occ in occupations], axis=1)
+            block = np.stack([space.basis_vector(((s,), (i,))) for s, i in counts], axis=1)
             evolved = fock.apply_circuit(circuit, space, block, leak_tol=None)
-            for col, occ_in in enumerate(occupations):
-                for occ_out in occupations:
-                    brute = evolved[space.index(occ_out), col]
-                    closed = fock.pdc_fock_amplitude(
-                        r, occ_out.s_counts[0], occ_out.i_counts[0], occ_in.s_counts[0], occ_in.i_counts[0]
-                    )
-                    dual = linamp.ptr_postselection_amplitude(setup, occ_in, occ_out)
+            for col, (s_in, i_in) in enumerate(counts):
+                for s_out, i_out in counts:
+                    brute = evolved[space.index(((s_out,), (i_out,))), col]
+                    closed = fock.pdc_fock_amplitude(r, s_out, i_out, s_in, i_in)
+                    dual = linamp.ptr_postselection_amplitude(setup, ((s_in,), (i_in,)), ((s_out,), (i_out,)))
                     assert abs(dual - closed) < 1e-12
                     scale = max(abs(brute), abs(dual))
                     if scale > 1e-8:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptrsim import cli, fock, linamp
+from ptrsim import cli, fock, harness, linamp
 from ptrsim.errors import CircuitFormatError
 from ptrsim.ptr import Pdc, build_ptr
 from test_gaussian import high_gain_circuit
@@ -183,6 +183,24 @@ def test_amp_command_passes_within_default_tolerance(circuit_file, capsys):
     assert "relative residual" in payload
 
 
+def test_amp_command_reads_a_roundoff_scale_pair_as_agreeing(tmp_path, capsys):
+    # |a| = 4.3e-15 on both arms: below linamp.ATOL, so residual zero, as verify reads it
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps(cli.circuit_to_document(harness.random_circuit(2, 2, 2, 2, 0.01))))
+    code = cli.main(["amp", "--circuit", str(path), "--input", "0,0;0,0", "--output", "3,2;2,3", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["rel_residual"] == 0.0 and 0 < payload["abs_residual"] < linamp.ATOL
+
+
+def test_amp_command_refuses_a_count_beyond_64_bits(tmp_path, capsys):
+    path = tmp_path / "one_source.json"
+    path.write_text(json.dumps({"s_paths": 2, "i_paths": 2, "elements": [{"type": "pdc", "s": 0, "i": 0, "r": 0.5}]}))
+    code = cli.main(["amp", "--circuit", str(path), "--input", "1180591620717411303424,0;0,0", "--output", "0,0;0,0"])
+    assert code == 2
+    assert "occupation counts must fit in 64 bits, got 1180591620717411303424" in capsys.readouterr().err
+
+
 def test_amp_command_rejects_malformed_occupations(circuit_file, capsys):
     code = cli.main(["amp", "--circuit", circuit_file, "--input", "1;1", "--output", "1,0;1,0"])
     assert code == 2
@@ -193,6 +211,12 @@ def test_verify_command_json_and_exit_codes(circuit_file, capsys):
     assert cli.main(["verify", "--circuit", circuit_file, "--max-photons", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["max_rel_residual"] < 1e-8
+    report = linamp.verify_duality(cli._load_circuit(circuit_file), photon_budget=2, leak_tol=fock.DEFAULT_LEAK_TOL)
+    rows = report.occupations.tolist()
+    worst = [k for k, r in enumerate(report.rel_residual) if r == report.max_rel_residual][0]
+    a, b = report.comparisons[worst]
+    texts = ["{},{};{},{}".format(*rows[a]), "{},{};{},{}".format(*rows[b])]
+    assert [payload["worst_input"], payload["worst_output"]] == texts
     # an impossible tolerance turns the same run into a residual failure
     assert (
         cli.main(["verify", "--circuit", circuit_file, "--max-photons", "2", "--tol", "1e-16"])
@@ -280,14 +304,18 @@ def test_amp_command_exits_3_on_a_nan_amplitude(circuit_file, capsys, monkeypatc
 
 
 def test_verify_command_exits_3_on_a_nan_residual_after_a_finite_one(circuit_file, capsys, monkeypatch):
-    occ = fock.OccupationVector((0, 0), (0, 0))
-    comparisons = tuple(linamp.AmplitudeComparison(occ, occ, 1.0, 1.0, r, r) for r in (0.1, math.nan))
-    report = linamp.DualityReport(2, 10, 1.0, comparisons)
+    occupations = np.array([[0, 0, 0, 0], [1, 0, 0, 1], [0, 1, 1, 0], [2, 0, 1, 1]])
+    residuals = np.array([0.1, math.nan])
+    amplitudes = np.ones(2, dtype=np.complex128)
+    report = linamp.DualityReport(10, 1.0, occupations, np.array([[0, 0], [1, 2]]), amplitudes, amplitudes,
+                                  residuals, residuals)
     monkeypatch.setattr(cli.linamp, "verify_duality", lambda *args, **kwargs: report)
     # the finite residual alone would pass at this tolerance
     assert cli.main(["verify", "--circuit", circuit_file, "--tol", "1"]) == 3
     captured = capsys.readouterr()
     assert "max rel residual: nan" in captured.out
+    assert "pairs checked: 2 (budget 4, cap 10)" in captured.out
+    assert "worst pair: 1,0;0,1 -> 0,1;1,0" in captured.out
     assert "numerical failure: residual is nan" in captured.err
 
 

@@ -56,14 +56,14 @@ def test_truncated_evolution_is_exactly_unitary():
     # the truncated generator stays anti-Hermitian, so norms are preserved
     # even when the cap is aggressive
     space = fock.FockSpace(1, 1, 6, delta=0)
-    state = space.basis_vector(fock.OccupationVector((1,), (1,)))
+    state = space.basis_vector(((1,), (1,)))
     evolved = fock.apply_circuit(single_pdc(1.2), space, state, leak_tol=None)
     assert np.isclose(np.linalg.norm(evolved), 1.0, atol=1e-13)
 
 
 def test_leak_guard_trips_on_tiny_cap():
     space = fock.FockSpace(1, 1, 4, delta=0)
-    state = space.basis_vector(fock.OccupationVector((0,), (0,)))
+    state = space.basis_vector(((0,), (0,)))
     with pytest.raises(TruncationLeakError):
         fock.apply_circuit(single_pdc(1.5), space, state)
 
@@ -71,11 +71,11 @@ def test_leak_guard_trips_on_tiny_cap():
 def test_leak_guard_ignores_number_conserving_circuits_at_the_cap():
     # linear elements cannot leak, so a state sitting at the cap is fine
     space = fock.FockSpace(2, 1, 2)
-    state = space.basis_vector(fock.OccupationVector((1, 0), (1,)))
+    state = space.basis_vector(((1, 0), (1,)))
     unitary = np.array([[0, 1], [1, 0]], dtype=complex)
     evolved = fock.apply_circuit(Circuit(2, 1, (LinearS(unitary),)), space, state)
     assert np.isclose(
-        evolved[space.index(fock.OccupationVector((0, 1), (1,)))], 1.0, atol=1e-12
+        evolved[space.index(((0, 1), (1,)))], 1.0, atol=1e-12
     )
 
 
@@ -196,6 +196,21 @@ def test_batched_amplitudes_refuse_non_integer_pair_indices():
 )
 def test_batched_amplitudes_name_the_entry_that_is_not_an_integer(occupations, pairs, message):
     """numpy upcasts a mixed list to float, so the cast array would name the whole 0 or 1 first."""
+    circuit = harness.random_circuit(7, 1, 1, 1, 0.5)
+    with pytest.raises(ValueError, match=message):
+        fock.postselection_amplitudes(circuit, occupations, pairs, 20, None)
+
+
+@pytest.mark.parametrize(
+    "occupations,pairs,message",
+    [
+        ([(2**70, 0), (0, 0)], [(0, 1)], "occupation counts must fit in 64 bits, got 1180591620717411303424"),
+        ([(0, 0), (1, 1)], [(0, 2**64)], "pair indices must fit in 64 bits, got 18446744073709551616"),
+    ],
+    ids=["occupations", "pairs"],
+)
+def test_batched_amplitudes_name_the_entry_beyond_64_bits(occupations, pairs, message):
+    """numpy holds such integers as objects; every entry is an int, so none fails the integer test."""
     circuit = harness.random_circuit(7, 1, 1, 1, 0.5)
     with pytest.raises(ValueError, match=message):
         fock.postselection_amplitudes(circuit, occupations, pairs, 20, None)

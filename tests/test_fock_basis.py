@@ -9,23 +9,21 @@ from ptrsim import fock
 from ptrsim.errors import DimensionOverflowError
 
 
-def test_occupation_vector_shapes_and_totals():
-    occ = fock.OccupationVector((2, 0), (1, 3))
-    assert occ.total == 6
-    assert occ.difference == 2 - 4
-    assert occ.key() == (2, 0, 1, 3)
+def test_occupation_counts_reject_negative_counts():
+    with pytest.raises(ValueError, match=r"occupation counts must be nonnegative, got \(1, -1\)"):
+        fock._occupation_counts(((1, -1), (0,)), 2, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fock.FockSpace(2, 1, 4).index(((0, 0), (-1,)))
 
 
-def test_occupation_vector_rejects_negative_counts():
-    with pytest.raises(ValueError):
-        fock.OccupationVector((1, -1), (0,))
-
-
-def test_as_occupation_accepts_pairs_and_checks_width():
-    occ = fock.as_occupation(((1, 0), (2,)), 2, 1)
-    assert occ == fock.OccupationVector((1, 0), (2,))
-    with pytest.raises(ValueError):
-        fock.as_occupation(((1,), (2,)), 2, 1)
+def test_occupation_counts_accept_pairs_and_check_width():
+    for form in (((1, 0), (2,)), [[1, 0], [2]], (np.array([1, 0]), np.array([2], dtype=np.int32))):
+        counts = fock._occupation_counts(form, 2, 1)
+        assert counts == ((1, 0), (2,)) and all(type(n) is int for n in counts[0] + counts[1])
+    with pytest.raises(ValueError, match=r"occupation has 1\+1 paths, expected 2\+1"):
+        fock._occupation_counts(((1,), (2,)), 2, 1)
+    with pytest.raises(ValueError, match="occupation counts must be integers, got 1.5"):
+        fock._occupation_counts(((1.5, 0), (2,)), 2, 1)
 
 
 @pytest.mark.parametrize("n_modes,total", [(1, 0), (1, 5), (2, 3), (3, 4), (4, 2)])
@@ -60,33 +58,34 @@ def test_delta_sectors_partition_the_full_space(n_s, n_i, cap):
     for delta in range(-cap, cap + 1):
         sector = fock.FockSpace(n_s, n_i, cap, delta=delta)
         sector_total += sector.dimension
-        for state in sector.states:
-            assert state.difference == delta
-            assert state.total <= cap
-            seen.add(state.key())
+        for row in sector.counts.tolist():
+            assert sum(row[:n_s]) - sum(row[n_s:]) == delta
+            assert sum(row) <= cap
+            seen.add(tuple(row))
     assert sector_total == full.dimension
-    assert seen == {state.key() for state in full.states}
+    assert seen == set(map(tuple, full.counts.tolist()))
 
 
 def test_index_round_trips_and_contains():
     space = fock.FockSpace(2, 1, 4, delta=1)
-    for i, state in enumerate(space.states):
-        assert space.index(state) == i
-        assert state in space
-    assert fock.OccupationVector((0, 0), (1,)) not in space  # delta = -1
+    for i, row in enumerate(space.counts.tolist()):
+        assert space.index((row[:2], row[2:])) == i
+    assert space.indices(space.counts).tolist() == list(range(space.dimension))
+    assert space.indices([(0, 0, 1), (3, 0, 2)]).tolist() == [-1, -1]  # delta = -1, and above the cap
+    with pytest.raises(ValueError, match=r"\(\(0, 0\), \(1,\)\) is not in this truncated basis"):
+        space.index(((0, 0), (1,)))
 
 
 def test_counts_and_totals_arrays_agree_with_states():
     space = fock.FockSpace(2, 2, 3)
     assert space.counts.shape == (space.dimension, 4)
-    for i, state in enumerate(space.states):
-        assert tuple(space.counts[i]) == state.key()
-        assert space.totals[i] == state.total
+    assert list(map(tuple, space.counts.tolist())) == fock.occupations_upto(4, 3)  # lexicographic
+    assert space.totals.tolist() == space.counts.sum(axis=1).tolist()
 
 
 def test_basis_vector_is_one_hot():
     space = fock.FockSpace(1, 1, 4, delta=0)
-    occ = fock.OccupationVector((2,), (2,))
+    occ = ((2,), (2,))
     column = space.basis_vector(occ)
     assert column[space.index(occ)] == 1.0
     assert np.count_nonzero(column) == 1

@@ -226,33 +226,52 @@ def test_duality_report_bookkeeping():
     assert report.max_abs_residual < 1e-10
     assert len(report.comparisons) > 0
     # every comparison respects the conserved photon difference
-    for comp in report.comparisons:
-        assert comp.input.difference == comp.output.difference
+    differences = report.occupations[:, 0] - report.occupations[:, 1]
+    assert np.array_equal(differences[report.comparisons[:, 0]], differences[report.comparisons[:, 1]])
+    assert report.comparisons.shape == (len(report.nonlinear), 2)
+    for name in ("occupations", "comparisons", "nonlinear", "dual", "abs_residual", "rel_residual"):
+        assert not getattr(report, name).flags.writeable, name
 
 
-def comparison(abs_residual: float, rel_residual: float) -> linamp.AmplitudeComparison:
-    occ = fock.OccupationVector((0,), (0,))
-    return linamp.AmplitudeComparison(occ, occ, 1.0, 1.0, abs_residual, rel_residual)
+def report_of(abs_residuals, rel_residuals) -> linamp.DualityReport:
+    """A report over the vacuum pair with the given residuals."""
+    n = len(rel_residuals)
+    amplitudes = np.ones(n, dtype=np.complex128)
+    residuals = (np.array(abs_residuals, dtype=float), np.array(rel_residuals, dtype=float))
+    return linamp.DualityReport(10, 1.0, np.zeros((1, 2), dtype=np.int64), np.zeros((n, 2), dtype=np.intp),
+                                amplitudes, amplitudes, *residuals)
 
 
 @pytest.mark.parametrize("residuals", [(0.1, math.nan), (math.nan, 0.1), (0.0, math.nan, 0.2)])
 def test_duality_report_maxima_are_nan_if_any_residual_is(residuals):
-    comparisons = tuple(comparison(r, r) for r in residuals)
-    report = linamp.DualityReport(2, 10, 1.0, comparisons)
+    report = report_of(residuals, residuals)
     assert math.isnan(report.max_abs_residual)
     assert math.isnan(report.max_rel_residual)
 
 
 def test_duality_report_maxima_of_finite_and_empty_reports():
-    report = linamp.DualityReport(2, 10, 1.0, (comparison(0.1, 0.3), comparison(0.2, 0.1)))
+    report = report_of((0.1, 0.2), (0.3, 0.1))
     assert (report.max_abs_residual, report.max_rel_residual) == (0.2, 0.3)
-    assert linamp.DualityReport(2, 10, 1.0, ()).max_rel_residual == 0.0
+    empty = report_of((), ())
+    assert (empty.max_rel_residual, empty.worst_pair) == (0.0, None)
+
+
+@pytest.mark.parametrize("residuals, worst", [((0.1, 0.3, 0.2), 1), ((0.4, 0.2, math.nan, math.nan), 2)])
+def test_duality_report_names_the_worst_pair_a_nan_first(residuals, worst):
+    n = len(residuals)
+    occupations = np.arange(2 * n).reshape(n, 2)
+    comparisons = np.stack((np.arange(n), np.arange(n)[::-1]), axis=1)
+    amplitudes = np.ones(n, dtype=np.complex128)
+    report = linamp.DualityReport(10, 1.0, occupations, comparisons, amplitudes, amplitudes,
+                                  np.array(residuals), np.array(residuals))
+    a, b = comparisons[worst]
+    assert report.worst_pair == (tuple(occupations[a].tolist()), tuple(occupations[b].tolist()))
 
 
 def test_duality_keeps_a_nan_dual_amplitude_next_to_a_zero_brute_one(monkeypatch):
     # signal path 1 is idle, so brute force gives exactly 0 for 1,0;0 -> 0,1;0;
     # max(|brute|, |dual|) drops the NaN and alone would read "both below atol"
-    broken = fock.OccupationVector((1, 0), (0,)), fock.OccupationVector((0, 1), (0,))
+    broken = ((1, 0), (0,)), ((0, 1), (0,))
     dual = linamp.ptr_postselection_amplitude
 
     def nan_on_one_pair(setup, occ_in, occ_out):
@@ -260,9 +279,35 @@ def test_duality_keeps_a_nan_dual_amplitude_next_to_a_zero_brute_one(monkeypatch
 
     monkeypatch.setattr(linamp, "ptr_postselection_amplitude", nan_on_one_pair)
     report = linamp.verify_duality(Circuit(2, 1, (Pdc(0, 0, 0.3),)), photon_budget=1, photon_cap=8)
-    (hit,) = [c for c in report.comparisons if (c.input, c.output) == broken]
-    assert hit.nonlinear == 0 and math.isnan(hit.rel_residual)
+    rows = report.occupations.tolist()
+    (hit,) = [k for k, (a, b) in enumerate(report.comparisons) if (rows[a], rows[b]) == ([1, 0, 0], [0, 1, 0])]
+    assert report.nonlinear[hit] == 0 and math.isnan(report.rel_residual[hit])
     assert math.isnan(report.max_rel_residual)
+    assert report.worst_pair == ((1, 0, 0), (0, 1, 0))
+
+
+def test_compare_amplitudes_reads_roundoff_scale_pairs_as_agreeing():
+    # both magnitudes fall below ATOL: residual zero, whatever their ratio
+    circuit = harness.random_circuit(2, 2, 2, 2, 0.01)
+    report = linamp.compare_amplitudes(circuit, [(0, 0, 0, 0), (3, 2, 2, 3)], [(0, 1)], leak_tol=fock.DEFAULT_LEAK_TOL)
+    assert report.photon_cap == fock.auto_photon_cap(10, circuit.total_gain)
+    assert 0 < abs(report.nonlinear[0]) < linamp.ATOL and abs(report.dual[0]) < linamp.ATOL
+    assert report.abs_residual[0] > 0 and report.rel_residual[0] == 0.0
+
+
+def test_compare_amplitudes_matches_the_single_pair_arms():
+    circuit = harness.random_circuit(5, 2, 1, 2, 0.5)
+    rows = [(1, 0, 1), (0, 1, 1), (2, 0, 0)]
+    pairs = [(0, 1), (1, 0), (0, 2), (2, 2)]
+    report = linamp.compare_amplitudes(circuit, rows, pairs, photon_cap=20)
+    assert np.array_equal(report.nonlinear, fock.postselection_amplitudes(circuit, rows, pairs, 20, None))
+    setup = build_ptr(circuit)
+    for k, (a, b) in enumerate(pairs):
+        occ_in, occ_out = (rows[a][:2], rows[a][2:]), (rows[b][:2], rows[b][2:])
+        assert report.dual[k] == linamp.ptr_postselection_amplitude(setup, occ_in, occ_out)
+        assert report.abs_residual[k] == abs(report.nonlinear[k] - report.dual[k])
+    assert report.nonlinear[2] == 0 and report.dual[2] == 0 and report.rel_residual[2] == 0
+    assert report.max_rel_residual < 1e-10 and report.photon_budget == 2
 
 
 def test_duality_on_mixed_circuit_at_generous_cap():
@@ -278,7 +323,7 @@ def test_duality_subsampling_is_seeded():
     a = linamp.verify_duality(circuit, photon_budget=3, photon_cap=30, sample_count=5, seed=7)
     b = linamp.verify_duality(circuit, photon_budget=3, photon_cap=30, sample_count=5, seed=7)
     assert len(a.comparisons) == 5
-    assert [c.input for c in a.comparisons] == [c.input for c in b.comparisons]
+    assert np.array_equal(a.comparisons, b.comparisons)
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -332,7 +377,7 @@ def test_occupation_counts_must_be_integers(bad):
     with pytest.raises(ValueError, match="occupation counts must be integers, got"):
         linamp.linear_fock_amplitude(setup.scattering, ((1, 0), (0,)), ((0, 1), (bad,)))
     with pytest.raises(ValueError, match="occupation counts must be integers, got"):
-        fock.as_occupation(((bad, 0), (0,)), 2, 1)
+        fock.FockSpace(2, 1, 4).index(((bad, 0), (0,)))
 
 
 #: the input forms an occupation may take at the library boundary
@@ -340,7 +385,6 @@ OCCUPATION_FORMS = {
     "tuple": lambda s, i: (tuple(s), tuple(i)),
     "list": lambda s, i: [list(s), list(i)],
     "numpy": lambda s, i: (np.array(s, dtype=np.int64), np.array(i, dtype=np.int32)),
-    "occupation": lambda s, i: fock.OccupationVector(tuple(s), tuple(i)),
 }
 
 
