@@ -22,7 +22,9 @@ validated, never assumed: callers get a measured norm defect and a hard
 error once it crosses the configured leak tolerance.
 
 Every brute-force amplitude, single or batched, comes from
-:func:`postselection_amplitudes`, so the ranking format stays in this module.
+:func:`postselection_amplitudes`, so the ranking format stays in this module;
+it applies the one-sided networks outside the pair sources, which keep each
+side's photon number, only on the photon numbers the queried rows hold.
 Its sector spaces are shared within a process.  :func:`sector_space` keeps the
 ``SECTOR_CACHE_SIZE`` (32) most recently used spaces, keyed by (signal
 paths, idler paths, cap, delta), which is all a space depends on; so
@@ -40,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -230,8 +232,12 @@ class FockSpace:
     def indices(self, counts) -> np.ndarray:
         """Basis index of every occupation row of ``counts``; -1 for rows outside the basis."""
         n_s = self.n_s_paths
-        counts = np.asarray(counts, dtype=np.int64).reshape(-1, n_s + self.n_i_paths)
-        inside = (counts.min(axis=1) >= 0) & (counts.sum(axis=1) <= self.photon_cap)
+        try:
+            counts = np.asarray(counts, dtype=np.int64).reshape(-1, n_s + self.n_i_paths)
+        except OverflowError:
+            raise _integer_error(np.ravel(np.asarray(counts, dtype=object))) from None
+        inside = (counts.min(axis=1) >= 0) & (counts.max(axis=1) <= self.photon_cap)  # no row sum wraps
+        inside &= counts.sum(axis=1) <= self.photon_cap
         if self.delta is not None:
             inside &= counts[:, :n_s].sum(axis=1) - counts[:, n_s:].sum(axis=1) == self.delta
         found = np.full(len(counts), -1, dtype=np.int64)
@@ -441,13 +447,13 @@ def _apply_block(block: np.ndarray, idx: np.ndarray, matrix: np.ndarray) -> None
     block[idx] = (matrix @ rows.reshape(len(idx), -1)).reshape(rows.shape)
 
 
-def _apply_unitary(space: FockSpace, lo: int, hi: int, matrix: np.ndarray, block: np.ndarray) -> None:
-    """Lifted action of the unitary ``matrix`` on the modes ``lo:hi``."""
+def _apply_unitary(space: FockSpace, lo: int, hi: int, matrix: np.ndarray, block: np.ndarray, top=math.inf) -> None:
+    """Lifted action of the unitary ``matrix`` on the modes ``lo:hi``; may skip rows of over ``top`` photons there."""
     phases = np.diagonal(matrix)
     if np.count_nonzero(matrix) == np.count_nonzero(phases):  # diagonal: a phase per state
         block *= np.exp(1j * (space._occupations(lo, hi) @ np.angle(phases)))[:, None]
         return
-    plan = space._number_blocks(lo, hi)
+    plan = [(photons, idx) for photons, idx in space._number_blocks(lo, hi) if photons <= top]
     blocks = _lifted_blocks(matrix, plan[-1][0] if plan else 0)
     for photons, idx in plan:
         _apply_block(block, idx, blocks[photons])
@@ -606,6 +612,17 @@ def pdc_fock_amplitude(r: float, out_s: int, out_i: int, in_s: int, in_i: int) -
     return t * bs_fock_amplitude(t, math.tanh(r), out_s, in_i, in_s, out_i)
 
 
+def _side_layers(elements, n_s: int, rows: np.ndarray) -> list[tuple[int, int, np.ndarray, int]]:
+    """(lo, hi, unitary, top) per side the one-sided ``elements`` act on: the product of that side's
+    matrices in application order, and the most photons any count row of ``rows`` holds there."""
+    layers = []
+    for side, lo, hi in (("s", 0, n_s), ("i", n_s, rows.shape[1])):
+        if matrices := [element.matrix for element in elements if element.side == side]:
+            top = int(rows[:, lo:hi].sum(axis=1).max(initial=0))
+            layers.append((lo, hi, reduce(lambda done, matrix: matrix @ done, matrices), top))
+    return layers
+
+
 def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_tol: float | None) -> np.ndarray:
     """<occupations[b]| U |occupations[a]> for every index pair (a, b) of ``pairs``, by brute force.
 
@@ -613,10 +630,13 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
     once.  A pair whose photon differences disagree reads exactly zero.
     Every other pair is read from one :func:`apply_circuit` per difference
     sector on :func:`sector_space`, whose columns are that sector's distinct
-    inputs in lexicographic order.  Counts that are not integers, or
-    negative, or above the cap, and pair indices that are not integers or
-    fall outside ``occupations`` raise ``ValueError``.
+    inputs in lexicographic order.  That call evolves the circuit from its first
+    pair source to its last; the one-sided networks around them, merged per
+    side, act only on the photon numbers the queried rows hold.  Counts that
+    are not integers, or negative, or above the cap, and pair indices that are
+    not integers or fall outside ``occupations`` raise ``ValueError``.
     """
+    from . import ptr  # local import: ptr depends on scatter only
     n_s = circuit.n_s_paths
     counts = np.asarray(occupations)
     if counts.size and counts.dtype.kind not in "biu":
@@ -625,7 +645,7 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
     counts = counts.astype(np.int64, copy=False).reshape(len(occupations), n_s + circuit.n_i_paths)
     if counts.size and counts.min() < 0:
         raise ValueError("occupation counts must be nonnegative")
-    if counts.size and counts.sum(axis=1).max() > photon_cap:
+    if counts.size and (counts.max() > photon_cap or counts.sum(axis=1).max() > photon_cap):  # no sum wraps
         raise ValueError("photon cap below the requested occupations")
     codes = _lex_rank(counts, photon_cap)
     differences = counts[:, :n_s].sum(axis=1) - counts[:, n_s:].sum(axis=1)
@@ -636,6 +656,11 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
     outside = ((pairs < 0) | (pairs >= len(counts))).any(axis=1)
     if outside.any():
         raise ValueError(f"pair {tuple(pairs[outside][0].tolist())} indexes outside the {len(counts)} occupations")
+    elements = circuit.elements
+    sources = [j for j, element in enumerate(elements) if isinstance(element, ptr.Pdc)] or [len(elements)]
+    head = _side_layers(elements[: sources[0]], n_s, counts[pairs[:, 0]])
+    core = ptr.Circuit(n_s, circuit.n_i_paths, elements[sources[0] : sources[-1] + 1])
+    tail = _side_layers(elements[sources[-1] + 1 :], n_s, counts[pairs[:, 1]])
     d_in = differences[pairs[:, 0]]
     same = d_in == differences[pairs[:, 1]]
     amplitudes = np.zeros(len(pairs), dtype=np.complex128)
@@ -647,7 +672,11 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
         space = sector_space(n_s, circuit.n_i_paths, photon_cap, delta)
         block = np.zeros((space.dimension, len(inputs)), dtype=np.complex128)
         block[space._ranked_rows(codes, ins[first], counts), np.arange(len(inputs))] = 1.0
-        evolved = apply_circuit(circuit, space, block, leak_tol=leak_tol)
+        for lo, hi, unitary, top in head:
+            _apply_unitary(space, lo, hi, unitary, block, top)
+        evolved = apply_circuit(core, space, block, leak_tol=leak_tol)
+        for lo, hi, unitary, top in tail:
+            _apply_unitary(space, lo, hi, unitary, evolved, top)
         amplitudes[members] = evolved[space._ranked_rows(codes, outs, counts), cols]
     return amplitudes
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from ptrsim import fock, harness
+from ptrsim import fock, harness, linamp
 from ptrsim.errors import TruncationLeakError
-from ptrsim.ptr import Circuit, LinearS, Pdc, PhaseI, PhaseS
+from ptrsim.ptr import Circuit, LinearI, LinearS, Pdc, PhaseI, PhaseS
 
 
 def single_pdc(r: float) -> Circuit:
@@ -158,6 +158,13 @@ def test_batched_amplitudes_equal_single_pair_ones_in_every_sector():
         fock.postselection_amplitudes(circuit, keys + [(3, 0, 1)], [(0, 0)], 3, None)
 
 
+def test_batched_amplitudes_refuse_counts_whose_sum_wraps():
+    """2^62 + 2^62 wraps to a negative int64 total, which passed the cap check."""
+    circuit = harness.random_circuit(7, 1, 1, 1, 0.5)
+    with pytest.raises(ValueError, match="photon cap below the requested occupations"):
+        fock.postselection_amplitudes(circuit, [(2**62, 2**62), (0, 0)], [(0, 1)], 20, None)
+
+
 def test_batched_amplitudes_refuse_non_integer_counts():
     """A row like (1.9, 0.2) would otherwise be read as (1, 0)."""
     circuit = harness.random_circuit(7, 1, 1, 1, 0.5)
@@ -214,3 +221,99 @@ def test_batched_amplitudes_name_the_entry_beyond_64_bits(occupations, pairs, me
     circuit = harness.random_circuit(7, 1, 1, 1, 0.5)
     with pytest.raises(ValueError, match=message):
         fock.postselection_amplitudes(circuit, occupations, pairs, 20, None)
+
+
+# ---------------------------------------------------------------------------
+# outer linear layers: merged per side, applied on the queried photon numbers
+# ---------------------------------------------------------------------------
+
+
+def haar(dim: int, seed: int) -> np.ndarray:
+    return harness.haar_unitary(dim, np.random.default_rng(seed))
+
+
+def whole_circuit_amplitudes(circuit, rows, pairs, cap) -> np.ndarray:
+    """<rows[b]| U |rows[a]> per pair, from apply_circuit of the whole circuit on each full sector."""
+    n_s = circuit.n_s_paths
+    rows = np.asarray(rows)
+    deltas = rows[:, :n_s].sum(axis=1) - rows[:, n_s:].sum(axis=1)
+    expected = np.zeros(len(pairs), dtype=np.complex128)
+    for delta in np.unique(deltas).tolist():
+        space = fock.FockSpace(n_s, circuit.n_i_paths, cap, delta=delta)
+        where, members = space.indices(rows), np.flatnonzero(deltas == delta)
+        block = np.zeros((space.dimension, len(rows)), dtype=np.complex128)
+        block[where[members], members] = 1.0
+        evolved = fock.apply_circuit(circuit, space, block, leak_tol=None)
+        for k, (a, b) in enumerate(pairs):
+            if deltas[a] == delta == deltas[b]:
+                expected[k] = evolved[where[b], a]
+    return expected
+
+
+def two_sided_layers(seed: int) -> list:
+    """Two non-commuting signal networks with an idler network between them."""
+    return [LinearS(haar(2, seed)), LinearI(haar(2, seed + 1)), LinearS(haar(2, seed + 2))]
+
+
+SPLIT_CASES = {
+    # circuit, occupation budget, cap, most photons on an input row, on an output row
+    "merge_order": (
+        Circuit(2, 2, (
+            *two_sided_layers(31), Pdc(0, 1, 0.4), LinearS(haar(2, 34)), Pdc(1, 0, 0.3), *two_sided_layers(35),
+        )),
+        3, 10, 3, 3,
+    ),
+    "outputs_fuller": (
+        Circuit(2, 2, (*two_sided_layers(41), Pdc(0, 0, 0.5), Pdc(1, 1, 0.4), *two_sided_layers(44))),
+        4, 10, 1, 4,
+    ),
+    "inputs_fuller": (
+        Circuit(2, 2, (*two_sided_layers(51), Pdc(0, 0, 0.5), Pdc(1, 1, 0.4), *two_sided_layers(54))),
+        4, 10, 4, 1,
+    ),
+    "no_source": (Circuit(2, 2, (*two_sided_layers(61), LinearI(haar(2, 64)))), 3, 6, 3, 3),
+    "diagonal_outer_layers": (
+        Circuit(2, 2, (
+            PhaseS(0, 0.3), PhaseI(1, -0.5), Pdc(0, 0, 0.5), LinearS(haar(2, 71)), Pdc(1, 1, 0.4),
+            PhaseS(1, 0.9), PhaseI(0, 0.2),
+        )),
+        3, 10, 3, 3,
+    ),
+    "one_source_4_4": (harness.random_circuit(81, 4, 4, 1, 0.3), 2, 8, 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_outer_layers_on_queried_photon_numbers_match_whole_circuit(case):
+    """Every pair of rows, read through the split circuit, equals the whole circuit on the full sector."""
+    circuit, budget, cap, most_in, most_out = SPLIT_CASES[case]
+    rows = fock.occupations_upto(circuit.n_s_paths + circuit.n_i_paths, budget)
+    ins = [a for a, row in enumerate(rows) if sum(row) <= most_in]
+    pairs = [(a, b) for a in ins for b, row in enumerate(rows) if sum(row) <= most_out]
+    got = fock.postselection_amplitudes(circuit, rows, pairs, cap, None)
+    expected = whole_circuit_amplitudes(circuit, rows, pairs, cap)
+    assert np.count_nonzero(expected) and np.max(np.abs(got - expected)) <= 1e-13
+
+
+def test_verify_evolves_each_sector_once_with_its_distinct_inputs_as_columns(monkeypatch):
+    """The benchmark counts apply_circuit calls, columns and sector dimension times columns."""
+    evolve, calls = fock.apply_circuit, []
+
+    def spy(circuit, space, block, leak_tol=fock.DEFAULT_LEAK_TOL):
+        calls.append((space, np.array(block)))
+        return evolve(circuit, space, block, leak_tol=leak_tol)
+
+    monkeypatch.setattr(fock, "apply_circuit", spy)
+    circuit, cap = harness.random_circuit(1010, 2, 2, 1, 0.6), 32  # a criterion-05 circuit
+    report = linamp.verify_duality(circuit, photon_budget=4, photon_cap=cap)
+    inputs = report.occupations[np.unique(report.comparisons[:, 0])]  # lexicographic, as the rows are
+    deltas = inputs[:, :2].sum(axis=1) - inputs[:, 2:].sum(axis=1)
+    assert [space.delta for space, _ in calls] == sorted(set(deltas.tolist()))
+    for space, block in calls:
+        assert space is fock.sector_space(2, 2, cap, space.delta)
+        assert block.shape == (space.dimension, np.count_nonzero(deltas == space.delta))
+        # column j starts on the number block of the j-th input, in lexicographic order
+        signal = space.counts[:, :2].sum(axis=1)
+        for column, row in zip(block.T, inputs[deltas == space.delta]):
+            assert np.isclose(np.linalg.norm(column), 1.0)
+            assert np.all(column[signal != row[:2].sum()] == 0)

@@ -76,6 +76,34 @@ def test_index_round_trips_and_contains():
         space.index(((0, 0), (1,)))
 
 
+HUGE = "occupation counts must fit in 64 bits, got 1180591620717411303424"
+
+
+def test_indices_name_a_count_beyond_64_bits():
+    """The int64 cast alone would end in OverflowError: Python int too large to convert to C long."""
+    space = fock.FockSpace(1, 1, 4)
+    with pytest.raises(ValueError, match=HUGE):
+        space.indices([(1, 1), (2**70, 0)])
+
+
+def test_index_names_a_count_beyond_64_bits():
+    with pytest.raises(ValueError, match=HUGE):
+        fock.FockSpace(1, 1, 4).index(((2**70,), (0,)))
+
+
+def test_basis_vector_names_a_count_beyond_64_bits():
+    with pytest.raises(ValueError, match=HUGE):
+        fock.FockSpace(1, 1, 4, delta=0).basis_vector(((0,), (2**70,)))
+
+
+def test_indices_do_not_wrap_row_sums():
+    """2^62 + 2^62 wraps to a negative int64 total, which passed as below the cap."""
+    space = fock.FockSpace(1, 1, 4)
+    assert space.indices([(2**62, 2**62), (1, 1)]).tolist() == [-1, space.index(((1,), (1,)))]
+    with pytest.raises(ValueError, match="is not in this truncated basis"):
+        space.index(((2**62,), (2**62,)))
+
+
 def test_counts_and_totals_arrays_agree_with_states():
     space = fock.FockSpace(2, 2, 3)
     assert space.counts.shape == (space.dimension, 4)

@@ -220,6 +220,18 @@ def test_leak_guard_regression():
     assert np.isclose(np.linalg.norm(out), 1.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("pair", [(0, 0), (1, 2)], ids=["vacuum", "one_signal_photon"])
+def test_leak_guard_regression_with_outer_networks(pair):
+    """The same circuit and caps wrapped in signal splitters, which act outside apply_circuit's core."""
+    core = (Pdc(0, 0, 0.7), LinearS(haar(2, 9)), Pdc(1, 0, 0.5))
+    circuit = Circuit(2, 1, (LinearS(haar(2, 5)), *core, LinearS(haar(2, 7))))
+    rows = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    with pytest.raises(TruncationLeakError):
+        fock.postselection_amplitudes(circuit, rows, [pair], 6, 1e-3)
+    fock.postselection_amplitudes(circuit, rows, [pair], 6, None)
+    assert fock.postselection_amplitudes(circuit, rows, [pair], 20, 1e-3)[0] != 0
+
+
 def imported_names(module) -> set[str]:
     """Every dotted-name part a module imports, at module level or inside a function."""
     imported = set()
