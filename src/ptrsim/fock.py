@@ -85,6 +85,15 @@ def _integer_error(values, what: str = "occupation counts") -> ValueError:
     return ValueError(f"{what} must be integers, got {bad!r}")
 
 
+def _count_rows(rows, what: str = "occupation counts") -> np.ndarray:
+    """``rows`` as an int64 array; an entry that is not an integer, or not a 64-bit one, raises ``ValueError``."""
+    counts = np.asarray(rows)
+    if counts.size and (counts.dtype.kind not in "biu" or counts.dtype.kind == "u" and counts.max() >= 2**63):
+        # the caller's entries, not ``counts``: numpy upcasts whole entries next to a bad one
+        raise _integer_error(np.ravel(np.asarray(rows, dtype=object)), what)
+    return counts.astype(np.int64, copy=False)
+
+
 def _compositions(n_modes: int, total: int) -> np.ndarray:
     """Rows of photon counts on ``n_modes >= 1`` modes summing to ``total``, lexicographic.
 
@@ -230,12 +239,9 @@ class FockSpace:
         return len(self.counts)
 
     def indices(self, counts) -> np.ndarray:
-        """Basis index of every occupation row of ``counts``; -1 for rows outside the basis."""
+        """Basis index of every occupation row of ``counts`` (checked by :func:`_count_rows`); -1 outside the basis."""
         n_s = self.n_s_paths
-        try:
-            counts = np.asarray(counts, dtype=np.int64).reshape(-1, n_s + self.n_i_paths)
-        except OverflowError:
-            raise _integer_error(np.ravel(np.asarray(counts, dtype=object))) from None
+        counts = _count_rows(counts).reshape(-1, n_s + self.n_i_paths)
         inside = (counts.min(axis=1) >= 0) & (counts.max(axis=1) <= self.photon_cap)  # no row sum wraps
         inside &= counts.sum(axis=1) <= self.photon_cap
         if self.delta is not None:
@@ -638,21 +644,14 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
     """
     from . import ptr  # local import: ptr depends on scatter only
     n_s = circuit.n_s_paths
-    counts = np.asarray(occupations)
-    if counts.size and counts.dtype.kind not in "biu":
-        # the caller's rows, not ``counts``: numpy upcasts whole entries next to a bad one
-        raise _integer_error(itertools.chain.from_iterable(occupations))
-    counts = counts.astype(np.int64, copy=False).reshape(len(occupations), n_s + circuit.n_i_paths)
+    counts = _count_rows(occupations).reshape(len(occupations), n_s + circuit.n_i_paths)
     if counts.size and counts.min() < 0:
         raise ValueError("occupation counts must be nonnegative")
     if counts.size and (counts.max() > photon_cap or counts.sum(axis=1).max() > photon_cap):  # no sum wraps
         raise ValueError("photon cap below the requested occupations")
     codes = _lex_rank(counts, photon_cap)
     differences = counts[:, :n_s].sum(axis=1) - counts[:, n_s:].sum(axis=1)
-    index = np.asarray(pairs)
-    if index.size and index.dtype.kind not in "biu":
-        raise _integer_error(itertools.chain.from_iterable(pairs), "pair indices")
-    pairs = index.astype(np.intp, copy=False).reshape(len(pairs), 2)
+    pairs = _count_rows(pairs, "pair indices").reshape(len(pairs), 2)
     outside = ((pairs < 0) | (pairs >= len(counts))).any(axis=1)
     if outside.any():
         raise ValueError(f"pair {tuple(pairs[outside][0].tolist())} indexes outside the {len(counts)} occupations")

@@ -95,19 +95,6 @@ class SymplecticMap:
         return SymplecticMap(self.matrix @ other.matrix)
 
 
-def conjugation_defect(f: SymplecticMap) -> float:
-    """Max deviation from F X = X F* with X the half-swap permutation."""
-    n = f.n_modes
-    return float(np.abs(np.roll(f.matrix, n, axis=1) - np.roll(f.matrix.conj(), n, axis=0)).max())
-
-
-def metric_preservation_defect(f: SymplecticMap) -> float:
-    """Max deviation from F K F+ = K with K = diag(I, -I) on the doubled basis."""
-    n = f.n_modes
-    metric = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-    return float(np.abs(f.matrix @ metric @ f.matrix.conj().T - metric).max())
-
-
 def symplectic_from_transfer(transfer: TransferMatrix) -> SymplecticMap:
     """Doubled-space map of a circuit, assembled from its transfer matrix.
 
@@ -268,22 +255,6 @@ def sms_coherent_duality_residual(r: float, alpha: complex, beta: complex) -> fl
     bra = np.array([beta, np.conj(alpha)]) / math.sqrt(2)
     rhs = t * abs(coherent_overlap(bra, ket)) ** 2
     return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-
-
-def vacuum_q_determinant_defect(circuit: Circuit) -> float:
-    """Defect of det(sigma_Q')^(-1/2) = |det ii block|^2 for vacuum input.
-
-    Both sides equal the vacuum-to-vacuum probability of the circuit, one
-    computed from the propagated Gaussian covariance and one from the
-    hypothetical-beamsplitter network, so this ties the two arms together
-    with no Fock truncation anywhere.
-    """
-    f = symplectic_from_transfer(circuit_transfer(circuit))
-    out_state = evolve(f, GaussianState.vacuum(f.n_modes))
-    det = np.linalg.det(_q_covariance(out_state)).real
-    setup = build_ptr(circuit)
-    det_ii = abs(np.linalg.det(setup.scattering.ii))
-    return float(abs(det ** (-0.5) - det_ii**2))
 
 
 def squeezed_vacuum_q_closed_form(r: float, beta: complex) -> float:

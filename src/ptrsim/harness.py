@@ -326,21 +326,24 @@ def expectation_duality_residual(
 ) -> float:
     """Relative defect of the separable-observable expectation duality.
 
-    The left side evolves the input product state by brute force, gathers
-    its amplitudes A[b, x] on the listed occupations (zero above the cap)
-    and contracts them as Re <A, O_s A O_i^T>; no Fock-space operator is
-    built.  The right side comes
-    from the dual arm alone: with M[b, x] = sum_{a,c} s[a] i[c]
-    <b, x| U |a, c> taken by :func:`linamp.ptr_postselection_amplitude`
-    (nc times a permanent of the hypothetical-beamsplitter network between
-    the swapped occupations), it is Re tr(O_s M conj(O_i) M^+).  That is
-    the sum over both eigenbases of eigenvalue-weighted squared swapped
-    amplitudes, regrouped.  Inputs should be normalized; observables are
-    Hermitian, relative to their largest entry, over the listed occupation
-    bases.  Non-finite observables or amplitudes, and an observable whose
-    shape does not match its occupation list, raise ``ValueError``.
+    Both sides read the amplitudes A[(a, c), (b, x)] = <b, x| U |a, c> from
+    one :func:`linamp.compare_amplitudes` call: every product of the listed
+    input occupations a (signal) and c (idler) in, every product of the basis
+    occupations b and x out.  With M[b, x] = sum_{a,c} s[a] i[c] A[(a, c),
+    (b, x)], each side is Re tr(O_s M conj(O_i) M^+), the sum over both
+    eigenbases of eigenvalue-weighted squared amplitudes, regrouped.  The
+    left side takes A by brute-force Fock evolution, the right side from the
+    dual arm alone (nc times a permanent of the hypothetical-beamsplitter
+    network between the swapped occupations); no Fock-space operator is
+    built.  The cap defaults to :func:`fock.auto_photon_cap` of the fullest
+    input product.  An occupation above the cap raises ``ValueError``, and
+    ``leak_tol`` guards each evolved input column on its own
+    (:class:`TruncationLeakError`).  Inputs should be normalized;
+    observables are Hermitian, relative to their largest entry, over the
+    listed occupation bases.  Non-finite observables or amplitudes, and an
+    observable whose shape does not match its occupation list, raise
+    ``ValueError``.
     """
-    n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
     obs_s = np.asarray(obs_s, dtype=np.complex128)
     obs_i = np.asarray(obs_i, dtype=np.complex128)
     inputs = {
@@ -362,23 +365,17 @@ def expectation_duality_residual(
         max_in = max(sum(occ) for occ in s_state) + max(sum(occ) for occ in i_state)
         photon_cap = fock.auto_photon_cap(max_in, circuit.total_gain)
 
-    space = FockSpace(n_s, n_i, photon_cap)
-    state = fock.product_state_vector(space, s_state, i_state, normalize=False)
-    evolved = fock.apply_circuit(circuit, space, state, leak_tol=leak_tol)
-    rows = space.indices([(*s_out, *i_out) for s_out in s_basis for i_out in i_basis])
-    listed = np.where(rows >= 0, evolved[rows], 0).reshape(len(s_basis), len(i_basis))
-    lhs = np.vdot(listed, obs_s @ listed @ obs_i.T).real
+    ins = [(*s_in, *i_in) for s_in in s_state for i_in in i_state]
+    outs = [(*s_out, *i_out) for s_out in s_basis for i_out in i_basis]
+    pairs = [(a, len(ins) + b) for a in range(len(ins)) for b in range(len(outs))]
+    report = linamp.compare_amplitudes(circuit, ins + outs, pairs, photon_cap, leak_tol)
+    weights = np.outer(inputs["s_state"], inputs["i_state"]).ravel()
 
-    setup = build_ptr(circuit)
-    swapped = np.zeros((len(s_basis), len(i_basis)), dtype=np.complex128)
-    for b, s_out in enumerate(s_basis):
-        for x, i_out in enumerate(i_basis):
-            swapped[b, x] = sum(
-                s_amp * i_amp * linamp.ptr_postselection_amplitude(setup, (s_in, i_in), (s_out, i_out))
-                for s_in, s_amp in s_state.items()
-                for i_in, i_amp in i_state.items()
-            )
-    rhs = np.trace(obs_s @ swapped @ obs_i.conj() @ swapped.conj().T).real
+    def contract(amplitudes: np.ndarray) -> float:
+        m = (weights @ amplitudes.reshape(len(ins), len(outs))).reshape(len(s_basis), len(i_basis))
+        return np.trace(obs_s @ m @ obs_i.conj() @ m.conj().T).real
+
+    lhs, rhs = contract(report.nonlinear), contract(report.dual)
     return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
 
 
@@ -442,41 +439,35 @@ def teleportation_demo(
         raise ValueError("teleportation demo expects low gain, 0 < r <= 0.1")
     start = time.perf_counter()
     circuit = teleportation_circuit(r, c_h, c_v)
-    space = FockSpace(4, 3, photon_cap, delta=0)
-    out = fock.apply_circuit(circuit, space, space.basis_vector(((0,) * 4, (0,) * 3)), leak_tol=None)
+    ports = {"H1": _S1H, "V1": _S1V, "H2": _S2H, "V2": _S2V}
+    outcomes = [(mu, nu) for mu in "HV" for nu in "HV"]
+    # vacuum in, then per outcome two four-fold rows: herald plus far idler H or V (idlers after 4 signal paths)
+    rows = [[0] * 7]
+    for mu, nu in outcomes:
+        for i_path in (_I2H, _I2V):
+            rows.append([0] * 7)
+            for path in (ports[mu + "1"], ports[nu + "2"], 4 + _I1H, 4 + i_path):
+                rows[-1][path] += 1
+    pairs = [(0, k) for k in range(1, len(rows))]
+    amplitudes = fock.postselection_amplitudes(circuit, rows, pairs, photon_cap, leak_tol=None)
 
     chi = np.array([c_h, c_v])
-    ports = {"H1": _S1H, "V1": _S1V, "H2": _S2H, "V2": _S2V}
     bright, dark_weight, bright_weight = [], 0.0, 0.0
     mixture = np.zeros((2, 2), dtype=np.complex128)
     setup = build_ptr(circuit)
     best_amp, best_pattern = 0.0, None
-    for mu in "HV":
-        for nu in "HV":
-            s_occ = [0, 0, 0, 0]
-            s_occ[ports[mu + "1"]] += 1
-            s_occ[ports[nu + "2"]] += 1
-            conditional = np.zeros(2, dtype=np.complex128)
-            for slot, i_path in enumerate((_I2H, _I2V)):
-                i_occ = [0, 0, 0]
-                i_occ[_I1H] = 1
-                i_occ[i_path] += 1
-                amp = out[space.index((tuple(s_occ), tuple(i_occ)))]
-                conditional[slot] = amp
-                estimate = linamp.four_photon_awp_amplitude(
-                    setup,
-                    (ports[mu + "1"], ports[nu + "2"]),
-                    (_I1H, i_path),
-                )
-                if abs(estimate) > best_amp:
-                    best_amp, best_pattern = abs(estimate), (amp, estimate)
-            weight = float(np.linalg.norm(conditional) ** 2)
-            mixture += np.outer(conditional, conditional.conj())
-            if mu != nu:
-                bright.append((mu + nu, conditional, weight))
-                bright_weight += weight
-            else:
-                dark_weight += weight
+    for (mu, nu), conditional in zip(outcomes, amplitudes.reshape(len(outcomes), 2)):
+        for amp, i_path in zip(conditional, (_I2H, _I2V)):
+            estimate = linamp.four_photon_awp_amplitude(setup, (ports[mu + "1"], ports[nu + "2"]), (_I1H, i_path))
+            if abs(estimate) > best_amp:
+                best_amp, best_pattern = abs(estimate), (amp, estimate)
+        weight = float(np.linalg.norm(conditional) ** 2)
+        mixture += np.outer(conditional, conditional.conj())
+        if mu != nu:
+            bright.append((mu + nu, conditional, weight))
+            bright_weight += weight
+        else:
+            dark_weight += weight
 
     worst_bright_infidelity = max(
         1.0 - abs(np.vdot(chi, cond)) ** 2 / w for _, cond, w in bright

@@ -209,16 +209,11 @@ def _scattering_factors(circuit: Circuit) -> list[tuple[ScatteringMatrix, Pdc | 
     return factors
 
 
-def substituted_factors(circuit: Circuit) -> list[ScatteringMatrix]:
-    """Star-product factors of the substituted circuit, in fold order."""
-    return [factor for factor, _ in _scattering_factors(circuit)]
-
-
 def build_ptr(circuit: Circuit) -> PtrSetup:
     """Fold the substituted circuit into its dual setup and coefficient.
 
     The scattering matrix is the left-to-right star product of the factors
-    of :func:`substituted_factors`; the star product skips the feedback
+    of :func:`_scattering_factors`; the star product skips the feedback
     loops that the identity start and the one-sided linear factors leave
     open.  Each pair source contributes sech(r) to the transmittance product
     and one cavity factor, the inverse determinant of the feedback loop

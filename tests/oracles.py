@@ -4,8 +4,10 @@ Everything here is built directly on dense Kronecker-product ladder
 operators and brute-force enumeration, deliberately sharing no code with
 the package under test.  The sparse-generator oracles borrow only the
 package's basis order, so their matrices can be compared with its evolved
-columns entry by entry; the scattering helpers at the end borrow only its
-block container.
+columns entry by entry; the scattering helpers borrow only its block
+container.  The package-side defects at the end are the exception: they
+measure identities on the package's own symplectic maps and scattering
+factors.
 """
 
 from __future__ import annotations
@@ -331,3 +333,49 @@ def transfer_to_scattering(matrix):
     return ScatteringMatrix(
         matrix.ss - matrix.si @ ii_inv @ matrix.is_, matrix.si @ ii_inv, -ii_inv @ matrix.is_, ii_inv
     )
+
+
+# ---------------------------------------------------------------------------
+# package-side defects
+#
+# Identities the tests measure on the package's own objects.  Unlike the
+# oracles above they call into the package: each checks what it returns.
+# ---------------------------------------------------------------------------
+
+
+def conjugation_defect(f) -> float:
+    """Max deviation from F X = X F* with X the half-swap permutation, for a ``SymplecticMap``."""
+    n = f.n_modes
+    return float(np.abs(np.roll(f.matrix, n, axis=1) - np.roll(f.matrix.conj(), n, axis=0)).max())
+
+
+def metric_preservation_defect(f) -> float:
+    """Max deviation from F K F+ = K with K = diag(I, -I) on the doubled basis, for a ``SymplecticMap``."""
+    n = f.n_modes
+    metric = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
+    return float(np.abs(f.matrix @ metric @ f.matrix.conj().T - metric).max())
+
+
+def vacuum_q_determinant_defect(circuit) -> float:
+    """Defect of det(sigma_Q')^(-1/2) = |det ii block|^2 for vacuum input.
+
+    Both sides equal the vacuum-to-vacuum probability of the circuit, one
+    computed from the propagated Gaussian covariance and one from the
+    hypothetical-beamsplitter network, so this ties the two arms together
+    with no Fock truncation anywhere.
+    """
+    from ptrsim import gaussian
+    from ptrsim.ptr import build_ptr, circuit_transfer
+
+    f = gaussian.symplectic_from_transfer(circuit_transfer(circuit))
+    out_state = gaussian.evolve(f, gaussian.GaussianState.vacuum(f.n_modes))
+    det = np.linalg.det(gaussian._q_covariance(out_state)).real
+    det_ii = abs(np.linalg.det(build_ptr(circuit).scattering.ii))
+    return float(abs(det ** (-0.5) - det_ii**2))
+
+
+def substituted_factors(circuit) -> list:
+    """Star-product factors of the substituted circuit, in fold order."""
+    from ptrsim.ptr import _scattering_factors
+
+    return [factor for factor, _ in _scattering_factors(circuit)]

@@ -86,6 +86,22 @@ def test_indices_name_a_count_beyond_64_bits():
         space.indices([(1, 1), (2**70, 0)])
 
 
+def test_indices_refuse_counts_that_are_not_integers():
+    """The int64 cast alone would read the row (1.9, 0.2) as (1, 0), index 5."""
+    space = fock.FockSpace(1, 1, 4)
+    with pytest.raises(ValueError, match="occupation counts must be integers, got 1.9"):
+        space.indices([[1.9, 0.2]])
+    with pytest.raises(ValueError, match="occupation counts must be integers, got 0.5"):
+        space.indices([[1, 1], [0.5, 0]])  # the entry itself, not the 1.0 numpy upcasts first
+    assert space.indices(np.array([[1, 0]], dtype=np.uint8)).tolist() == [space.index(((1,), (0,)))]
+
+
+def test_indices_refuse_unsigned_counts_beyond_int64():
+    """numpy holds 2^63 as uint64, whose int64 cast wraps to -2^63."""
+    with pytest.raises(ValueError, match="occupation counts must fit in 64 bits, got 9223372036854775808"):
+        fock.FockSpace(1, 1, 4).indices([(2**63, 0)])
+
+
 def test_index_names_a_count_beyond_64_bits():
     with pytest.raises(ValueError, match=HUGE):
         fock.FockSpace(1, 1, 4).index(((2**70,), (0,)))

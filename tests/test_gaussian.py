@@ -81,8 +81,8 @@ def test_single_source_map_has_cosh_sinh_blocks():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_symplectic_invariants_on_random_circuits(seed):
     f = gaussian.symplectic_from_transfer(circuit_transfer(random_circuit_2x2(seed)))
-    assert gaussian.conjugation_defect(f) < 1e-12
-    assert gaussian.metric_preservation_defect(f) < 1e-12
+    assert oracles.conjugation_defect(f) < 1e-12
+    assert oracles.metric_preservation_defect(f) < 1e-12
 
 
 def test_symplectic_map_composes_like_the_transfer_product():
@@ -196,7 +196,7 @@ def test_squeezed_vacuum_q_closed_form_matches_fock_series(r):
 
 
 def test_vacuum_q_determinant_identity():
-    assert gaussian.vacuum_q_determinant_defect(random_circuit_2x2(4)) < 1e-12
+    assert oracles.vacuum_q_determinant_defect(random_circuit_2x2(4)) < 1e-12
 
 
 def high_gain_circuit() -> Circuit:

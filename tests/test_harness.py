@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ptrsim import fock, harness, scatter
+from ptrsim.errors import TruncationLeakError
 from ptrsim.ptr import build_ptr
 
 
@@ -111,10 +112,30 @@ def test_expectation_duality_on_small_random_circuit():
     obs_s = (herm + herm.conj().T) / 2
     obs_i = np.diag([0.0, 1.0, 2.0]).astype(complex)
     basis = [(0,), (1,), (2,)]
-    residual = harness.expectation_duality_residual(
-        circuit, s_state, i_state, obs_s, basis, obs_i, basis, photon_cap=32
-    )
+    residual = harness.expectation_duality_residual(circuit, s_state, i_state, obs_s, basis, obs_i, basis)
     assert residual < 1e-8
+
+
+def test_expectation_duality_guards_each_input_column():
+    """At cap 32 the (1; 2) input column keeps 3.5e-3 of its weight in the top band,
+    although the weighted superposition of all four columns stays below the guard."""
+    circuit = harness.random_circuit(310, 1, 1, 2, 0.5)
+    s_state = {(0,): 1 / math.sqrt(2), (1,): 1 / math.sqrt(2)}
+    i_state = {(0,): math.sqrt(0.8), (2,): math.sqrt(0.2)}
+    basis = [(0,), (1,), (2,)]
+    obs = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    with pytest.raises(TruncationLeakError, match="raise the photon cap"):
+        harness.expectation_duality_residual(circuit, s_state, i_state, obs, basis, obs, basis, photon_cap=32)
+
+
+def test_expectation_duality_refuses_occupations_above_the_cap():
+    circuit = harness.random_circuit(310, 1, 1, 2, 0.5)
+    basis = [(0,), (1,), (2,)]
+    obs = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    with pytest.raises(ValueError, match="photon cap below the requested occupations"):
+        harness.expectation_duality_residual(
+            circuit, {(0,): 1.0}, {(0,): 1.0}, obs, basis, obs, basis, photon_cap=3, leak_tol=None
+        )
 
 
 def test_expectation_duality_requires_hermitian_observables():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from ptrsim import harness, scatter
 from ptrsim.ptr import (
     Circuit,
@@ -22,7 +23,6 @@ from ptrsim.ptr import (
     special_cancellation_expected,
     su11_circuit,
     su11_expected,
-    substituted_factors,
     verify_special_cancellation,
 )
 from test_gaussian import high_gain_circuit
@@ -87,7 +87,7 @@ def test_setup_network_is_unitary():
 def test_substituted_factors_rebuild_the_network():
     circuit = Circuit(2, 1, (Pdc(0, 0, 0.5), LinearS(haar(2, 6)), Pdc(1, 0, 0.6)))
     setup = build_ptr(circuit)
-    factors = substituted_factors(circuit)
+    factors = oracles.substituted_factors(circuit)
     combined = factors[0]
     for factor in factors[1:]:
         combined = scatter.star(combined, factor)
@@ -98,7 +98,7 @@ def determinant_oracle(circuit: Circuit):
     """Star fold of the substituted factors; each cavity factor is 1/det of its feedback loop."""
     current = scatter.ScatteringMatrix.identity(circuit.n_s_paths, circuit.n_i_paths)
     betas = []
-    for factor in substituted_factors(circuit):
+    for factor in oracles.substituted_factors(circuit):
         if factor.is_.any():  # a pair source's beamsplitter; merged linear factors have no is_ block
             loop = np.eye(circuit.n_s_paths) - current.si @ factor.is_
             betas.append(1.0 / np.linalg.det(loop))
