@@ -182,6 +182,16 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+def _tolerance(text: str) -> float:
+    """Argument type of ``--tol``: finite and nonnegative, so that a pass means the residual was bounded."""
+    try:
+        if math.isfinite(value := float(text)) and value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite nonnegative tolerance, got {text!r}")
+
+
 def _parse_occupation(text: str, n_s: int, n_i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     try:
         s_part, i_part = text.split(";")
@@ -436,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     circuit = flag("--circuit", required=True, help="circuit document (JSON)")
     cutoff = flag("--cutoff", type=int, default=None, help="total photon cap (default: auto)")
     max_photons = flag("--max-photons", type=int, default=DEFAULT_MAX_PHOTONS, help="photon budget per side")
-    tol = flag("--tol", type=float, default=DEFAULT_TOL, help="pass/fail tolerance")
+    tol = flag("--tol", type=_tolerance, default=DEFAULT_TOL, help="pass/fail tolerance")
     seed = flag("--seed", type=int, default=None, help=f"random seed (default {DEFAULT_SEED})")
     as_json = flag("--json", action="store_true", help="machine-readable output")
 

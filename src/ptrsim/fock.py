@@ -22,10 +22,12 @@ validated, never assumed: callers get a measured norm defect and a hard
 error once it crosses the configured leak tolerance.
 
 Every brute-force amplitude, single or batched, comes from
-:func:`postselection_amplitudes`, so the ranking format stays in this module;
-it applies the one-sided networks outside the pair sources, which keep each
-side's photon number, only on the photon numbers the queried rows hold.
-Its sector spaces are shared within a process.  :func:`sector_space` keeps the
+:func:`postselection_amplitudes`, so the ranking format stays in this module.
+It takes count rows, signal paths first, and index pairs; the (signal counts,
+idler counts) pair form appears only in its single-pair entry
+:func:`nonlinear_postselection_amplitude`.  It applies the one-sided networks
+outside the pair sources, which keep each side's photon number, only on the
+photon numbers the queried rows hold.  Its sector spaces are shared within a process.  :func:`sector_space` keeps the
 ``SECTOR_CACHE_SIZE`` (32) most recently used spaces, keyed by (signal
 paths, idler paths, cap, delta), which is all a space depends on; so
 circuits of one shape and cap reuse its rows, ranks and the ladder,
@@ -43,7 +45,6 @@ import itertools
 import math
 import operator
 from functools import lru_cache, reduce
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -193,7 +194,7 @@ class FockSpace:
     """Bijection between occupations under a global photon cap and indices.
 
     ``counts`` holds one row of photon counts per basis state, signal paths
-    first; single occupations go in as (signal counts, idler counts) pairs.
+    first, and :meth:`indices` maps such rows back to positions.
 
     Args:
         n_s_paths: number of signal paths.
@@ -249,20 +250,6 @@ class FockSpace:
         found = np.full(len(counts), -1, dtype=np.int64)
         found[inside] = np.searchsorted(self._codes, _lex_rank(counts[inside], self.photon_cap))
         return found
-
-    def index(self, occ) -> int:
-        """Basis index of the (signal counts, idler counts) pair ``occ``."""
-        s_counts, i_counts = _occupation_counts(occ, self.n_s_paths, self.n_i_paths)
-        j = int(self.indices(s_counts + i_counts)[0])
-        if j < 0:
-            raise ValueError(f"{(s_counts, i_counts)} is not in this truncated basis")
-        return j
-
-    def basis_vector(self, occ) -> np.ndarray:
-        """One-hot column of the (signal counts, idler counts) pair ``occ``."""
-        vec = np.zeros(self.dimension, dtype=np.complex128)
-        vec[self.index(occ)] = 1.0
-        return vec
 
     def _ranked_rows(self, codes: np.ndarray, picks: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Basis index of the rows ``picks`` of ``counts``, ranked ``codes`` at this cap; all must lie inside."""
@@ -527,43 +514,6 @@ def apply_circuit(
                 " raise the photon cap"
             )
     return block[:, 0] if squeeze else block
-
-
-# ---------------------------------------------------------------------------
-# states
-# ---------------------------------------------------------------------------
-
-
-def _product_rows(s_rows: Sequence, i_rows: Sequence) -> np.ndarray:
-    """Every concatenation s + i as a (len(s_rows), len(i_rows), modes) count array."""
-    s_rows = np.asarray(s_rows, dtype=np.int64).reshape(len(s_rows), 1, -1)
-    i_rows = np.asarray(i_rows, dtype=np.int64).reshape(1, len(i_rows), -1)
-    s_part = np.repeat(s_rows, i_rows.shape[1], axis=1)
-    return np.concatenate((s_part, np.repeat(i_rows, s_rows.shape[0], axis=0)), axis=2)
-
-
-def product_state_vector(
-    space: FockSpace,
-    s_amplitudes: Mapping[tuple[int, ...], complex],
-    i_amplitudes: Mapping[tuple[int, ...], complex],
-    normalize: bool = True,
-) -> np.ndarray:
-    """Embed a product of a signal-side and an idler-side state.
-
-    Components whose total photon number exceeds the cap are dropped, so the
-    inputs should live far below it; ``normalize`` restores unit norm.
-    """
-    vec = np.zeros(space.dimension, dtype=np.complex128)
-    idx = space.indices(_product_rows(list(s_amplitudes), list(i_amplitudes))).ravel()
-    amps = np.outer(list(s_amplitudes.values()), list(i_amplitudes.values())).ravel()
-    inside = idx >= 0
-    np.add.at(vec, idx[inside], amps[inside])
-    if normalize:
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise ValueError("product state has no support inside the cap")
-        vec /= norm
-    return vec
 
 
 # ---------------------------------------------------------------------------

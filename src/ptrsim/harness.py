@@ -189,26 +189,32 @@ def decoupled_port_scenario(
 ) -> VerificationReport:
     """A second signal path that ends up completely dark.
 
-    The network check is closed-form; the Fock check evolves vacuum signal
-    with truncated-coherent idler drives and measures the mean photon
-    number and mean field left on the decoupled path.  Both are
+    The network check is closed-form; the Fock check drives vacuum signal
+    with truncated-coherent idlers and measures the mean photon number and
+    mean field left on the decoupled path.  The input (0, 0; n) reaches only
+    the states with n more idler than signal photons, so one
+    :func:`fock.postselection_amplitudes` call reads every such amplitude
+    for n = 0..4, and each drive weighs them by its c_n.  Both checks are
     Bogoliubov-level statements: the output operator of that path contains
     no idler component at all.
     """
     start = time.perf_counter()
     closed = verify_special_cancellation(r1, r2)
     circuit = special_cancellation_circuit(r1, r2)
-    space = FockSpace(2, 1, photon_cap)
-    columns = []
-    gammas = []
+    gammas, drives = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         gamma = (0.25 + 0.25 * rng.random()) * np.exp(2j * np.pi * rng.random())
         gammas.append(gamma)
-        columns.append(
-            fock.product_state_vector(space, {(0, 0): 1.0}, truncated_coherent(gamma, 4))
-        )
-    out = fock.apply_circuit(circuit, space, np.stack(columns, axis=1), leak_tol=None)
+        drives.append(list(truncated_coherent(gamma, 4).values()))
+    space = FockSpace(2, 1, photon_cap)  # unrestricted, in the order _mean_field reads
+    idler_excess = space.counts[:, 2] - space.counts[:, :2].sum(axis=1)
+    reached = np.flatnonzero((idler_excess >= 0) & (idler_excess <= 4))
+    rows = np.concatenate(([(0, 0, n) for n in range(5)], space.counts[reached]))
+    pairs = np.stack((idler_excess[reached], 5 + np.arange(len(reached))), axis=1)
+    amplitudes = fock.postselection_amplitudes(circuit, rows, pairs, photon_cap, leak_tol=None)
+    out = np.zeros((space.dimension, len(seeds)), dtype=np.complex128)
+    out[reached] = amplitudes[:, None] * np.array(drives).T[idler_excess[reached]]
     number_residual = float(((np.abs(out) ** 2) * space.counts[:, 0][:, None]).sum(axis=0).max())
     field_residual = np.abs(_mean_field(space, out, 0)).max()
     return _timed_report(
@@ -266,8 +272,11 @@ def four_photon_ratio(r: float, seed: int = 20, photon_cap: int = 14) -> complex
 
     The estimate drops the normalization coefficient on purpose — that is
     the classical advanced-wave bookkeeping — so the ratio approaches one
-    only in the low-gain limit, quadratically in r.
+    only in the low-gain limit, quadratically in r.  A gain r <= 0 raises
+    ``ValueError``: both amplitudes vanish at r = 0.
     """
+    if not r > 0:
+        raise ValueError(f"four-photon ratio needs a positive gain, got {r}")
     circuit = _awp_scenario_circuit(r, seed)
     setup = build_ptr(circuit)
     estimate = linamp.four_photon_awp_amplitude(setup, (0, 1), (0, 1))

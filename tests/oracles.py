@@ -204,10 +204,11 @@ def grid_quadrature_2d(values: np.ndarray, step: float) -> float:
 
 
 def state_vector(space, amplitudes, normalize: bool = False) -> np.ndarray:
-    """Vector in the package basis from occupation -> amplitude entries."""
+    """Vector in the package basis from (signal counts, idler counts) -> amplitude entries."""
+    lookup = _basis_lookup(space)
     vec = np.zeros(space.dimension, dtype=np.complex128)
-    for occ, amp in amplitudes.items():
-        vec[space.index(occ)] = amp
+    for (s_counts, i_counts), amp in amplitudes.items():
+        vec[lookup[(*s_counts, *i_counts)]] = amp
     if normalize:
         norm = np.linalg.norm(vec)
         if norm == 0:
@@ -218,6 +219,15 @@ def state_vector(space, amplitudes, normalize: bool = False) -> np.ndarray:
 
 def _basis_lookup(space) -> dict[tuple[int, ...], int]:
     return {tuple(row): j for j, row in enumerate(space.counts.tolist())}
+
+
+def one_hot(space, rows) -> np.ndarray:
+    """One basis column of ``space`` per count row of ``rows`` (signal paths first), placed by ``space.indices``."""
+    found = space.indices(rows)
+    assert np.all(found >= 0), "a row lies outside the space"
+    block = np.zeros((space.dimension, len(found)), dtype=np.complex128)
+    block[found, np.arange(len(found))] = 1.0
+    return block
 
 
 def pdc_generator(space, s_path: int, i_path: int, r: float) -> scipy.sparse.csr_matrix:

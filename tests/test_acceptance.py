@@ -41,11 +41,10 @@ def test_criterion_01_single_device_duality():
             counts = [(s, i) for s, i in space.counts.tolist() if s <= budget and i <= budget]
             # the closed-form comparison below detects truncation directly,
             # so the coarse state-level leak guard is not needed here
-            block = np.stack([space.basis_vector(((s,), (i,))) for s, i in counts], axis=1)
-            evolved = fock.apply_circuit(circuit, space, block, leak_tol=None)
+            evolved = fock.apply_circuit(circuit, space, oracles.one_hot(space, counts), leak_tol=None)
             for col, (s_in, i_in) in enumerate(counts):
-                for s_out, i_out in counts:
-                    brute = evolved[space.index(((s_out,), (i_out,))), col]
+                for row, (s_out, i_out) in zip(space.indices(counts), counts):
+                    brute = evolved[row, col]
                     closed = fock.pdc_fock_amplitude(r, s_out, i_out, s_in, i_in)
                     dual = linamp.ptr_postselection_amplitude(setup, ((s_in,), (i_in,)), ((s_out,), (i_out,)))
                     assert abs(dual - closed) < 1e-12

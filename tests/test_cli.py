@@ -457,3 +457,31 @@ def test_counts_must_be_positive_integers(circuit_file, capsys, argv, flag):
 def test_verify_refuses_a_cap_below_the_budget(circuit_file, capsys):
     assert cli.main(["verify", "--circuit", circuit_file, "--cutoff", "2", "--max-photons", "4"]) == 2
     assert "photon cap 2 is below the photon budget 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["amp", "--circuit", "CIRCUIT", "--input", "1,0;1,0", "--output", "0,1;0,1"],
+        ["verify", "--circuit", "CIRCUIT", "--max-photons", "2"],
+        ["qfunc", "--circuit", "CIRCUIT"],
+        ["awp"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tolerance_must_be_finite_and_nonnegative(circuit_file, capsys, argv, tol):
+    """At --tol inf every residual passed, whatever the fault; NaN and negative ones could never pass."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([circuit_file if arg == "CIRCUIT" else arg for arg in argv] + [f"--tol={tol}"])
+    assert exit_info.value.code == 2
+    assert f"argument --tol: expected a finite nonnegative tolerance, got '{tol}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gain", ["0", "-0.05"])
+def test_awp_refuses_a_gain_that_is_not_positive(capsys, gain):
+    """At gain 0 both four-photon amplitudes vanish, and their ratio divided by zero (exit 3)."""
+    assert cli.main(["awp", "--gain", gain]) == 2
+    assert f"error: four-photon ratio needs a positive gain, got {float(gain)}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="needs a positive gain"):
+        harness.four_photon_ratio(float(gain))

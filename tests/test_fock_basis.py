@@ -12,8 +12,6 @@ from ptrsim.errors import DimensionOverflowError
 def test_occupation_counts_reject_negative_counts():
     with pytest.raises(ValueError, match=r"occupation counts must be nonnegative, got \(1, -1\)"):
         fock._occupation_counts(((1, -1), (0,)), 2, 1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        fock.FockSpace(2, 1, 4).index(((0, 0), (-1,)))
 
 
 def test_occupation_counts_accept_pairs_and_check_width():
@@ -68,12 +66,10 @@ def test_delta_sectors_partition_the_full_space(n_s, n_i, cap):
 
 def test_index_round_trips_and_contains():
     space = fock.FockSpace(2, 1, 4, delta=1)
-    for i, row in enumerate(space.counts.tolist()):
-        assert space.index((row[:2], row[2:])) == i
     assert space.indices(space.counts).tolist() == list(range(space.dimension))
+    for i, row in enumerate(space.counts.tolist()):
+        assert space.indices([row]).tolist() == [i]
     assert space.indices([(0, 0, 1), (3, 0, 2)]).tolist() == [-1, -1]  # delta = -1, and above the cap
-    with pytest.raises(ValueError, match=r"\(\(0, 0\), \(1,\)\) is not in this truncated basis"):
-        space.index(((0, 0), (1,)))
 
 
 HUGE = "occupation counts must fit in 64 bits, got 1180591620717411303424"
@@ -93,7 +89,7 @@ def test_indices_refuse_counts_that_are_not_integers():
         space.indices([[1.9, 0.2]])
     with pytest.raises(ValueError, match="occupation counts must be integers, got 0.5"):
         space.indices([[1, 1], [0.5, 0]])  # the entry itself, not the 1.0 numpy upcasts first
-    assert space.indices(np.array([[1, 0]], dtype=np.uint8)).tolist() == [space.index(((1,), (0,)))]
+    assert space.indices(np.array([[1, 0]], dtype=np.uint8)).tolist() == [space.counts.tolist().index([1, 0])]
 
 
 def test_indices_refuse_unsigned_counts_beyond_int64():
@@ -102,22 +98,10 @@ def test_indices_refuse_unsigned_counts_beyond_int64():
         fock.FockSpace(1, 1, 4).indices([(2**63, 0)])
 
 
-def test_index_names_a_count_beyond_64_bits():
-    with pytest.raises(ValueError, match=HUGE):
-        fock.FockSpace(1, 1, 4).index(((2**70,), (0,)))
-
-
-def test_basis_vector_names_a_count_beyond_64_bits():
-    with pytest.raises(ValueError, match=HUGE):
-        fock.FockSpace(1, 1, 4, delta=0).basis_vector(((0,), (2**70,)))
-
-
 def test_indices_do_not_wrap_row_sums():
     """2^62 + 2^62 wraps to a negative int64 total, which passed as below the cap."""
     space = fock.FockSpace(1, 1, 4)
-    assert space.indices([(2**62, 2**62), (1, 1)]).tolist() == [-1, space.index(((1,), (1,)))]
-    with pytest.raises(ValueError, match="is not in this truncated basis"):
-        space.index(((2**62,), (2**62,)))
+    assert space.indices([(2**62, 2**62), (1, 1)]).tolist() == [-1, space.counts.tolist().index([1, 1])]
 
 
 def test_counts_and_totals_arrays_agree_with_states():
@@ -125,14 +109,6 @@ def test_counts_and_totals_arrays_agree_with_states():
     assert space.counts.shape == (space.dimension, 4)
     assert list(map(tuple, space.counts.tolist())) == fock.occupations_upto(4, 3)  # lexicographic
     assert space.totals.tolist() == space.counts.sum(axis=1).tolist()
-
-
-def test_basis_vector_is_one_hot():
-    space = fock.FockSpace(1, 1, 4, delta=0)
-    occ = ((2,), (2,))
-    column = space.basis_vector(occ)
-    assert column[space.index(occ)] == 1.0
-    assert np.count_nonzero(column) == 1
 
 
 def test_negative_cap_rejected():
@@ -151,7 +127,7 @@ def test_ranked_rows_refuse_an_occupation_outside_the_sector():
     counts = np.array([[1, 0, 1], [1, 0, 0]])
     codes = fock._lex_rank(counts, 6)
     space = fock.sector_space(2, 1, 6, 0)
-    assert space._ranked_rows(codes, np.array([0]), counts).tolist() == [space.index(((1, 0), (1,)))]
+    assert space._ranked_rows(codes, np.array([0]), counts).tolist() == space.indices([(1, 0, 1)]).tolist()
     with pytest.raises(ValueError, match=r"\(1, 0, 0\) is not in this truncated basis"):
         space._ranked_rows(codes, np.array([0, 1]), counts)
 

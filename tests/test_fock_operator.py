@@ -79,8 +79,9 @@ def test_mean_field_matches_truncated_coherent_closed_form():
     closed = np.sum(np.sqrt(np.arange(1, 9)) * c[:-1].conj() * c[1:])
     space = fock.FockSpace(2, 1, 12)
     idler = {(0,): 0.6, (2,): 0.8}
-    on_signal = fock.product_state_vector(space, {(0, n): c_n for (n,), c_n in drive.items()}, idler)
-    on_idler = fock.product_state_vector(space, {(1, 0): 1.0}, drive)
+    signal = {((0, n), i): c_n * a for (n,), c_n in drive.items() for i, a in idler.items()}
+    on_signal = oracles.state_vector(space, signal)
+    on_idler = oracles.state_vector(space, {((1, 0), n): c_n for n, c_n in drive.items()})
     block = np.stack([on_signal, on_idler], axis=1)
     assert abs(closed) > 0.3
     assert abs(harness._mean_field(space, block, 1)[0] - closed) < 1e-14
@@ -98,23 +99,15 @@ def test_nonlinear_operator_matches_column_evolution():
     circuit = Circuit(1, 1, (Pdc(0, 0, 0.4), PhaseS(0, 0.3)))
     space = fock.FockSpace(1, 1, 8, delta=0)
     op = oracles.nonlinear_operator(circuit, space)
-    for occ in [((0,), (0,)), ((2,), (2,))]:
-        column = fock.apply_circuit(circuit, space, space.basis_vector(occ), leak_tol=None)
-        assert np.allclose(op[:, space.index(occ)], column, atol=1e-12)
-
-
-def test_product_state_vector_is_normalized():
-    space = fock.FockSpace(1, 1, 6)
-    s_amp = {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)}
-    i_amp = {(0,): 1.0}
-    vec = fock.product_state_vector(space, s_amp, i_amp)
-    assert np.isclose(np.linalg.norm(vec), 1.0, atol=1e-12)
+    rows = [(0, 0), (2, 2)]
+    columns = fock.apply_circuit(circuit, space, oracles.one_hot(space, rows), leak_tol=None)
+    assert np.allclose(op[:, space.indices(rows)], columns, atol=1e-12)
 
 
 def test_evolved_vacuum_holds_sinh_squared_signal_photons():
     r = 0.6
     space = fock.FockSpace(1, 1, 40)
-    vacuum = space.basis_vector(((0,), (0,)))
+    vacuum = oracles.one_hot(space, [(0, 0)])[:, 0]
     evolved = fock.apply_circuit(Circuit(1, 1, (Pdc(0, 0, r),)), space, vacuum)
     mean = np.sum(np.abs(evolved) ** 2 * space.counts[:, 0])
     assert np.isclose(mean, np.sinh(r) ** 2, atol=1e-10)

@@ -376,8 +376,6 @@ def test_occupation_counts_must_be_integers(bad):
         linamp.ptr_postselection_amplitude(setup, ((bad, 0), (0,)), ((1, 0), (0,)))
     with pytest.raises(ValueError, match="occupation counts must be integers, got"):
         linamp.linear_fock_amplitude(setup.scattering, ((1, 0), (0,)), ((0, 1), (bad,)))
-    with pytest.raises(ValueError, match="occupation counts must be integers, got"):
-        fock.FockSpace(2, 1, 4).index(((bad, 0), (0,)))
 
 
 #: the input forms an occupation may take at the library boundary

@@ -1,12 +1,23 @@
-"""The README's Python code runs against the package as it stands."""
+"""The README's Python code and command-line examples run against the package as it stands."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from ptrsim import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
+CIRCUIT = re.search(r"^```json\n(.*?)^```", TEXT, flags=re.M | re.S).group(1)
+COMMANDS = [
+    shlex.split(line, comments=True)
+    for block in re.findall(r"^```sh\n(.*?)^```", TEXT, flags=re.M | re.S)
+    for line in block.splitlines()
+    if line.startswith("ptrsim ")
+]
 
 
 def test_readme_has_python_blocks():
@@ -16,3 +27,15 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("source", BLOCKS, ids=[f"block{k}" for k in range(len(BLOCKS))])
 def test_readme_python_block_runs(source):
     exec(compile(source, f"{README.name} python block", "exec"), {"__name__": "readme"})
+
+
+def test_readme_has_cli_examples():
+    assert len(COMMANDS) >= 9
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[shlex.join(argv[1:]) for argv in COMMANDS])
+def test_readme_cli_example_passes(tmp_path, monkeypatch, capsys, argv):
+    """Each ``ptrsim`` line, on the README's circuit document written where the line looks for it."""
+    (tmp_path / "circuit.json").write_text(CIRCUIT, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv[1:]) == 0, capsys.readouterr().err
