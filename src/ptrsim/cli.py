@@ -192,7 +192,8 @@ def _tolerance(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite nonnegative tolerance, got {text!r}")
 
 
-def _parse_occupation(text: str, n_s: int, n_i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _parse_occupation(text: str, n_s: int, n_i: int) -> tuple[int, ...]:
+    """The count row, signal paths first, of ``--input`` or ``--output`` text 's0,s1;i0'."""
     try:
         s_part, i_part = text.split(";")
         s_counts = tuple(int(x) for x in s_part.split(","))
@@ -207,7 +208,7 @@ def _parse_occupation(text: str, n_s: int, n_i: int) -> tuple[tuple[int, ...], t
         )
     if min(s_counts + i_counts) < 0:
         raise CircuitFormatError(f"occupation {text!r} has negative counts")
-    return s_counts, i_counts
+    return s_counts + i_counts
 
 
 def _parse_complex_list(text: str, expected: int, what: str) -> np.ndarray:
@@ -286,11 +287,8 @@ def _occupation_text(row, n_s: int) -> str:
 
 def _cmd_amp(args) -> tuple[int, dict, list[str]]:
     circuit = _load_circuit(args.circuit)
-    s_in, i_in = _parse_occupation(args.input, circuit.n_s_paths, circuit.n_i_paths)
-    s_out, i_out = _parse_occupation(args.output, circuit.n_s_paths, circuit.n_i_paths)
-    report = linamp.compare_amplitudes(
-        circuit, [s_in + i_in, s_out + i_out], [(0, 1)], photon_cap=args.cutoff, leak_tol=fock.DEFAULT_LEAK_TOL
-    )
+    rows = [_parse_occupation(text, circuit.n_s_paths, circuit.n_i_paths) for text in (args.input, args.output)]
+    report = linamp.compare_amplitudes(circuit, rows, [(0, 1)], photon_cap=args.cutoff, leak_tol=fock.DEFAULT_LEAK_TOL)
     brute, dual = complex(report.nonlinear[0]), complex(report.dual[0])
     residual = float(report.rel_residual[0])
     payload = {
@@ -345,19 +343,10 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
 def _cmd_qfunc(args) -> tuple[int, dict, list[str]]:
     circuit = _load_circuit(args.circuit)
     n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
-    if args.alpha_s or args.alpha_i or args.beta_s or args.beta_i:
-        missing = [
-            name
-            for name, value in (
-                ("--alpha-s", args.alpha_s),
-                ("--alpha-i", args.alpha_i),
-                ("--beta-s", args.beta_s),
-                ("--beta-i", args.beta_i),
-            )
-            if not value
-        ]
-        if missing:
-            raise CircuitFormatError(f"explicit points need {' and '.join(missing)} as well")
+    explicit = {"--alpha-s": args.alpha_s, "--alpha-i": args.alpha_i, "--beta-s": args.beta_s, "--beta-i": args.beta_i}
+    if given := [name for name, value in explicit.items() if value is not None]:
+        if missing := [name for name in explicit if name not in given]:
+            raise CircuitFormatError(f"explicit points from {' and '.join(given)} need {' and '.join(missing)} as well")
         for flag, value in (("--points", args.points), ("--seed", args.seed)):
             if value is not None:
                 raise CircuitFormatError(f"{flag} has no effect next to explicit --alpha-*/--beta-* points")
@@ -407,8 +396,8 @@ def _cmd_examples(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_teleport(args) -> tuple[int, dict, list[str]]:
-    if args.ch or args.cv:
-        if not (args.ch and args.cv):
+    if args.ch is not None or args.cv is not None:
+        if args.ch is None or args.cv is None:
             raise CircuitFormatError("give both --ch and --cv or neither")
         if args.seed is not None:
             raise CircuitFormatError("--seed has no effect next to explicit --ch/--cv")

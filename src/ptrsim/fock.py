@@ -23,11 +23,10 @@ error once it crosses the configured leak tolerance.
 
 Every brute-force amplitude, single or batched, comes from
 :func:`postselection_amplitudes`, so the ranking format stays in this module.
-It takes count rows, signal paths first, and index pairs; the (signal counts,
-idler counts) pair form appears only in its single-pair entry
-:func:`nonlinear_postselection_amplitude`.  It applies the one-sided networks
-outside the pair sources, which keep each side's photon number, only on the
-photon numbers the queried rows hold.  Its sector spaces are shared within a process.  :func:`sector_space` keeps the
+The module takes count rows only, signal paths first, with index pairs into
+them.  It applies the one-sided networks outside the pair sources, which keep
+each side's photon number, only on the photon numbers the queried rows hold.
+Its sector spaces are shared within a process.  :func:`sector_space` keeps the
 ``SECTOR_CACHE_SIZE`` (32) most recently used spaces, keyed by (signal
 paths, idler paths, cap, delta), which is all a space depends on; so
 circuits of one shape and cap reuse its rows, ranks and the ladder,
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -56,24 +54,6 @@ DIM_LIMIT = 4_000_000
 
 #: default tolerance on the measured norm defect of evolved columns.
 DEFAULT_LEAK_TOL = 1e-3
-
-
-def _occupation_counts(value, n_s_paths: int, n_i_paths: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Checked (signal, idler) count tuples of the pair ``value``: integers, none negative, on the given paths."""
-    s_counts, i_counts = value
-    try:
-        s_counts, i_counts = tuple(map(operator.index, s_counts)), tuple(map(operator.index, i_counts))
-    except TypeError:
-        raise _integer_error((*s_counts, *i_counts)) from None
-    for counts in (s_counts, i_counts):
-        if counts and min(counts) < 0:
-            raise ValueError(f"occupation counts must be nonnegative, got {counts}")
-    if len(s_counts) != n_s_paths or len(i_counts) != n_i_paths:
-        raise ValueError(
-            f"occupation has {len(s_counts)}+{len(i_counts)} paths, "
-            f"expected {n_s_paths}+{n_i_paths}"
-        )
-    return s_counts, i_counts
 
 
 def _integer_error(values, what: str = "occupation counts") -> ValueError:
@@ -379,8 +359,14 @@ def _ladder_modes(diff: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     S is real symmetric tridiagonal with S[j, j-1] = S[j-1, j] =
     sqrt(j (j + diff)): rung j of a ladder of ``length`` rungs, cut at the
     top, holds (diff + j, j) photons on the pair (either order).  numpy's
-    dense ``eigh`` decomposes it, once per key and process.
+    dense ``eigh`` decomposes it, once per key and process.  A matrix of more
+    than ``DIM_LIMIT`` entries raises :class:`DimensionOverflowError` before it is built.
     """
+    if length * length > DIM_LIMIT:
+        raise DimensionOverflowError(
+            f"pair-source ladder of {length} rungs needs a {length}x{length} matrix, "
+            f"over the limit of {DIM_LIMIT} entries; lower the cap"
+        )
     rung = np.arange(1, length)
     off = np.sqrt(rung * (rung + diff))
     values, vectors = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
@@ -629,23 +615,3 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
         amplitudes[members] = evolved[space._ranked_rows(codes, outs, counts), cols]
     return amplitudes
 
-
-def nonlinear_postselection_amplitude(
-    circuit,
-    input_occ,
-    output_occ,
-    photon_cap: int | None = None,
-    leak_tol: float | None = DEFAULT_LEAK_TOL,
-) -> complex:
-    """<output| U |input> by brute-force evolution in the truncated basis; see :func:`postselection_amplitudes`.
-
-    Returns exactly zero when the conserved photon difference of input and
-    output disagree.  The cap defaults to :func:`auto_photon_cap`; accuracy
-    improves geometrically as the cap is raised above the occupations.
-    """
-    s_in, i_in = _occupation_counts(input_occ, circuit.n_s_paths, circuit.n_i_paths)
-    s_out, i_out = _occupation_counts(output_occ, circuit.n_s_paths, circuit.n_i_paths)
-    if photon_cap is None:
-        photon_cap = auto_photon_cap(max(sum(s_in + i_in), sum(s_out + i_out)), circuit.total_gain)
-    amplitudes = postselection_amplitudes(circuit, [s_in + i_in, s_out + i_out], [(0, 1)], photon_cap, leak_tol)
-    return complex(amplitudes[0])

@@ -280,10 +280,9 @@ def four_photon_ratio(r: float, seed: int = 20, photon_cap: int = 14) -> complex
     circuit = _awp_scenario_circuit(r, seed)
     setup = build_ptr(circuit)
     estimate = linamp.four_photon_awp_amplitude(setup, (0, 1), (0, 1))
-    brute = fock.nonlinear_postselection_amplitude(
-        circuit, ((0, 0), (0, 0)), ((1, 1), (1, 1)), photon_cap=photon_cap
-    )
-    return brute / estimate
+    rows = [(0, 0, 0, 0), (1, 1, 1, 1)]
+    brute = fock.postselection_amplitudes(circuit, rows, [(0, 1)], photon_cap, fock.DEFAULT_LEAK_TOL)
+    return complex(brute[0]) / estimate
 
 
 def awp_sweep_scenario(

@@ -5,7 +5,9 @@ network's submatrix over the occupied modes, rows and columns repeated by
 their counts.  Ryser's formula is summed over the repeats, with each
 distinct row raised to the power of its multiplicity, so the dual arm
 never builds the repeated submatrix.  The amplitudes work on plain count
-tuples from the one occupation check in :mod:`fock` on.
+tuples once :func:`_occupation_counts` has checked them.  Only the two
+single-pair entries here take the (signal counts, idler counts) pair form,
+which the dual arm's idler swap needs; everything else takes count rows.
 :func:`compare_amplitudes` pits those amplitudes, scaled by the
 normalization coefficient of the dual setup, against brute-force truncated
 Fock-space amplitudes of the nonlinear circuit from
@@ -16,6 +18,7 @@ Fock-space amplitudes of the nonlinear circuit from
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -128,6 +131,24 @@ def _counts_amplitude(matrix: np.ndarray, in_counts: tuple[int, ...], out_counts
     return _repeated_permanent(matrix.take(rows, 0).take(cols, 1), row_mult, col_mult) / math.sqrt(norm)
 
 
+def _occupation_counts(value, n_s_paths: int, n_i_paths: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Checked (signal, idler) count tuples of the pair ``value``: integers, none negative, on the given paths."""
+    s_counts, i_counts = value
+    try:
+        s_counts, i_counts = tuple(map(operator.index, s_counts)), tuple(map(operator.index, i_counts))
+    except TypeError:
+        raise fock._integer_error((*s_counts, *i_counts)) from None
+    for counts in (s_counts, i_counts):
+        if counts and min(counts) < 0:
+            raise ValueError(f"occupation counts must be nonnegative, got {counts}")
+    if len(s_counts) != n_s_paths or len(i_counts) != n_i_paths:
+        raise ValueError(
+            f"occupation has {len(s_counts)}+{len(i_counts)} paths, "
+            f"expected {n_s_paths}+{n_i_paths}"
+        )
+    return s_counts, i_counts
+
+
 def linear_fock_amplitude(network: ScatteringMatrix, input_occ, output_occ) -> complex:
     """<output| L |input> for a photon-number-conserving linear network.
 
@@ -135,8 +156,8 @@ def linear_fock_amplitude(network: ScatteringMatrix, input_occ, output_occ) -> c
     (signal, idler) path index; occupations repeat its columns (input) and
     rows (output).  Zero when the total photon number changes.
     """
-    in_s, in_i = fock._occupation_counts(input_occ, network.n_s, network.n_i)
-    out_s, out_i = fock._occupation_counts(output_occ, network.n_s, network.n_i)
+    in_s, in_i = _occupation_counts(input_occ, network.n_s, network.n_i)
+    out_s, out_i = _occupation_counts(output_occ, network.n_s, network.n_i)
     return _counts_amplitude(network.full, in_s + in_i, out_s + out_i)
 
 
@@ -150,8 +171,8 @@ def ptr_postselection_amplitude(setup: PtrSetup, input_occ, output_occ) -> compl
     disagree leave the swapped rows with different totals, which read zero.
     """
     n_s, n_i = setup.scattering.n_s, setup.scattering.n_i
-    s_in, i_in = fock._occupation_counts(input_occ, n_s, n_i)
-    s_out, i_out = fock._occupation_counts(output_occ, n_s, n_i)
+    s_in, i_in = _occupation_counts(input_occ, n_s, n_i)
+    s_out, i_out = _occupation_counts(output_occ, n_s, n_i)
     return setup.nc * _counts_amplitude(setup.scattering.full, s_in + i_out, s_out + i_in)
 
 
@@ -247,8 +268,8 @@ def verify_duality(
     order; ``sample_count`` (at least one) draws a seeded subsample without
     replacement (enumeration order is preserved).  The pairs go to
     :func:`compare_amplitudes`, one brute-force evolution per difference
-    sector; ``photon_cap`` may not be below ``photon_budget``, or inputs
-    would fall outside it.
+    sector; ``photon_cap`` defaults as there and may not be below
+    ``photon_budget``, or inputs would fall outside it.
 
     The dual side involves no truncation, so truncation damage on the brute
     side shows up directly in the residuals and the state-level leak guard is
@@ -258,9 +279,7 @@ def verify_duality(
         raise ValueError("photon budget must be nonnegative")
     if sample_count is not None and sample_count < 1:
         raise ValueError(f"sample count must be at least 1, got {sample_count}")
-    if photon_cap is None:
-        photon_cap = fock.auto_photon_cap(photon_budget, circuit.total_gain)
-    if photon_cap < photon_budget:
+    if photon_cap is not None and photon_cap < photon_budget:
         raise ValueError(f"photon cap {photon_cap} is below the photon budget {photon_budget}")
     n_s = circuit.n_s_paths
     keys = fock.occupations_upto(n_s + circuit.n_i_paths, photon_budget)

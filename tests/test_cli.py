@@ -362,6 +362,17 @@ def test_commands_refuse_flags_they_would_ignore(circuit_file, capsys, argv, fla
     assert f"error: {flag} has no effect" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["qfunc", "--circuit", "CIRCUIT", "--alpha-s", ""], "--alpha-s"), (["teleport", "--ch", "", "--cv", ""], "--ch")],
+)
+def test_empty_flags_are_refused_not_ignored(circuit_file, capsys, argv, flag):
+    """An empty value is a given flag, so the command refuses it instead of drawing random points."""
+    assert cli.main([circuit_file if arg == "CIRCUIT" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+
+
 def single_source_file(tmp_path, r: float) -> str:
     path = tmp_path / "single_source.json"
     source = {"type": "pdc", "s": 0, "i": 0, "r": r}
@@ -376,6 +387,13 @@ def test_gain_overflow_is_a_numerical_failure(tmp_path, capsys, command):
     # cosh(800) overflows a float
     assert cli.main(command + ["--circuit", single_source_file(tmp_path, 800.0)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_a_ladder_too_long_to_decompose_is_a_size_failure(tmp_path, capsys):
+    """At cap 4000 the vacuum's ladder has 2001 rungs, whose dense matrix would hold just over DIM_LIMIT entries."""
+    argv = ["verify", "--circuit", single_source_file(tmp_path, 0.5), "--max-photons", "0", "--cutoff", "4000"]
+    assert cli.main(argv) == 3
+    assert "pair-source ladder of 2001 rungs" in capsys.readouterr().err
 
 
 def test_indefinite_q_covariance_is_a_numerical_failure(tmp_path, capsys):

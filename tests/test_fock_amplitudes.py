@@ -15,6 +15,11 @@ def single_pdc(r: float) -> Circuit:
     return Circuit(1, 1, (Pdc(0, 0, r),))
 
 
+def brute(circuit, row_in, row_out, photon_cap: int, leak_tol=fock.DEFAULT_LEAK_TOL) -> complex:
+    """<row_out| U |row_in> from a one-pair batch of count rows."""
+    return complex(fock.postselection_amplitudes(circuit, [row_in, row_out], [(0, 1)], photon_cap, leak_tol)[0])
+
+
 @pytest.mark.parametrize("r", [0.2, 0.7])
 @pytest.mark.parametrize(
     "out_s,out_i,in_s,in_i",
@@ -22,9 +27,7 @@ def single_pdc(r: float) -> Circuit:
 )
 def test_single_squeezer_matches_dense_oracle(r, out_s, out_i, in_s, in_i):
     expected = oracles.two_mode_squeeze_amplitude(r, out_s, out_i, in_s, in_i, cutoff=36)
-    got = fock.nonlinear_postselection_amplitude(
-        single_pdc(r), ((in_s,), (in_i,)), ((out_s,), (out_i,)), photon_cap=40
-    )
+    got = brute(single_pdc(r), (in_s, in_i), (out_s, out_i), 40)
     assert np.isclose(got, expected, atol=1e-12)
 
 
@@ -32,20 +35,18 @@ def test_single_squeezer_matches_dense_oracle(r, out_s, out_i, in_s, in_i):
 def test_single_squeezer_matches_closed_form(r):
     for out_s, out_i, in_s, in_i in [(0, 0, 0, 0), (2, 2, 0, 0), (2, 1, 1, 0), (3, 1, 2, 0)]:
         closed = fock.pdc_fock_amplitude(r, out_s, out_i, in_s, in_i)
-        brute = fock.nonlinear_postselection_amplitude(
-            single_pdc(r), ((in_s,), (in_i,)), ((out_s,), (out_i,)), photon_cap=44
-        )
-        assert np.isclose(brute, closed, rtol=1e-10, atol=1e-12)
+        got = brute(single_pdc(r), (in_s, in_i), (out_s, out_i), 44)
+        assert np.isclose(got, closed, rtol=1e-10, atol=1e-12)
 
 
 def test_pair_difference_mismatch_is_exactly_zero():
-    amp = fock.nonlinear_postselection_amplitude(single_pdc(0.5), ((0,), (0,)), ((1,), (0,)))
+    amp = brute(single_pdc(0.5), (0, 0), (1, 0), fock.auto_photon_cap(1, 0.5))
     assert amp == 0
 
 
 def test_vacuum_persistence_decreases_with_gain():
     amps = [
-        abs(fock.nonlinear_postselection_amplitude(single_pdc(r), ((0,), (0,)), ((0,), (0,))))
+        abs(brute(single_pdc(r), (0, 0), (0, 0), fock.auto_photon_cap(0, r)))
         for r in (0.2, 0.5, 1.0)
     ]
     assert amps == sorted(amps, reverse=True)
@@ -79,24 +80,18 @@ def test_leak_guard_ignores_number_conserving_circuits_at_the_cap():
 
 def test_cap_below_occupations_rejected():
     with pytest.raises(ValueError):
-        fock.nonlinear_postselection_amplitude(
-            single_pdc(0.4), ((3,), (3,)), ((3,), (3,)), photon_cap=4
-        )
+        brute(single_pdc(0.4), (3, 3), (3, 3), 4)
 
 
 def test_phase_elements_shift_amplitudes_by_pure_phases():
     r, phi = 0.6, 0.8
-    base = fock.nonlinear_postselection_amplitude(
-        single_pdc(r), ((0,), (0,)), ((2,), (2,)), photon_cap=30
-    )
+    base = brute(single_pdc(r), (0, 0), (2, 2), 30)
     for circuit, expected_phase in [
         (Circuit(1, 1, (Pdc(0, 0, r), PhaseS(0, phi))), np.exp(2j * phi)),
         (Circuit(1, 1, (Pdc(0, 0, r), PhaseI(0, phi))), np.exp(2j * phi)),
         (Circuit(1, 1, (PhaseS(0, phi), Pdc(0, 0, r))), 1.0),
     ]:
-        amp = fock.nonlinear_postselection_amplitude(
-            circuit, ((0,), (0,)), ((2,), (2,)), photon_cap=30
-        )
+        amp = brute(circuit, (0, 0), (2, 2), 30)
         assert np.isclose(amp, base * expected_phase, atol=1e-12)
 
 
@@ -108,9 +103,7 @@ def test_signal_network_acts_by_its_matrix_on_one_photon():
     # one signal photon in path j exits in path k with amplitude U[k, j]
     for j in range(2):
         for k in range(2):
-            occ_in = ((1 - j, j), (0,))
-            occ_out = ((1 - k, k), (0,))
-            amp = fock.nonlinear_postselection_amplitude(circuit, occ_in, occ_out, photon_cap=6)
+            amp = brute(circuit, (1 - j, j, 0), (1 - k, k, 0), 6)
             assert np.isclose(amp, unitary[k, j], atol=1e-12)
 
 
@@ -118,11 +111,9 @@ def test_multi_element_circuit_against_kron_oracle():
     # cross-check a squeezer sandwiched between phases on a 1+1 circuit
     r, phi = 0.45, 0.7
     circuit = Circuit(1, 1, (PhaseS(0, phi), Pdc(0, 0, r), PhaseI(0, -phi)))
-    for occ_out in [((0,), (0,)), ((1,), (1,)), ((2,), (2,))]:
-        expected = oracles.two_mode_squeeze_amplitude(
-            r, occ_out[0][0], occ_out[1][0], 1, 1, cutoff=32
-        ) * np.exp(1j * phi * (1 - occ_out[1][0]))
-        got = fock.nonlinear_postselection_amplitude(circuit, ((1,), (1,)), occ_out, photon_cap=36)
+    for out_s, out_i in [(0, 0), (1, 1), (2, 2)]:
+        expected = oracles.two_mode_squeeze_amplitude(r, out_s, out_i, 1, 1, cutoff=32) * np.exp(1j * phi * (1 - out_i))
+        got = brute(circuit, (1, 1), (out_s, out_i), 36)
         assert np.isclose(got, expected, atol=1e-11)
 
 
@@ -144,13 +135,11 @@ def test_batched_amplitudes_equal_single_pair_ones_in_every_sector():
     batch = fock.postselection_amplitudes(circuit, keys, pairs, 20, None)
     agree = 0
     for (a, b), amplitude in zip(pairs, batch.tolist()):
-        occ_in, occ_out = (keys[a][:2], keys[a][2:]), (keys[b][:2], keys[b][2:])
-        if sum(occ_in[0]) - sum(occ_in[1]) != sum(occ_out[0]) - sum(occ_out[1]):
+        if sum(keys[a][:2]) - keys[a][2] != sum(keys[b][:2]) - keys[b][2]:
             assert amplitude == 0
             continue
         agree += 1
-        single = fock.nonlinear_postselection_amplitude(circuit, occ_in, occ_out, photon_cap=20, leak_tol=None)
-        assert amplitude == single, (keys[a], keys[b])
+        assert amplitude == brute(circuit, keys[a], keys[b], 20, leak_tol=None), (keys[a], keys[b])
     assert 0 < agree < len(pairs) and np.count_nonzero(batch) == agree
     with pytest.raises(ValueError, match="photon cap below the requested occupations"):
         fock.postselection_amplitudes(circuit, keys + [(3, 0, 1)], [(0, 0)], 3, None)

@@ -9,21 +9,6 @@ from ptrsim import fock
 from ptrsim.errors import DimensionOverflowError
 
 
-def test_occupation_counts_reject_negative_counts():
-    with pytest.raises(ValueError, match=r"occupation counts must be nonnegative, got \(1, -1\)"):
-        fock._occupation_counts(((1, -1), (0,)), 2, 1)
-
-
-def test_occupation_counts_accept_pairs_and_check_width():
-    for form in (((1, 0), (2,)), [[1, 0], [2]], (np.array([1, 0]), np.array([2], dtype=np.int32))):
-        counts = fock._occupation_counts(form, 2, 1)
-        assert counts == ((1, 0), (2,)) and all(type(n) is int for n in counts[0] + counts[1])
-    with pytest.raises(ValueError, match=r"occupation has 1\+1 paths, expected 2\+1"):
-        fock._occupation_counts(((1,), (2,)), 2, 1)
-    with pytest.raises(ValueError, match="occupation counts must be integers, got 1.5"):
-        fock._occupation_counts(((1.5, 0), (2,)), 2, 1)
-
-
 @pytest.mark.parametrize("n_modes,total", [(1, 0), (1, 5), (2, 3), (3, 4), (4, 2)])
 def test_occupations_with_total_matches_stars_and_bars(n_modes, total):
     found = fock.occupations_with_total(n_modes, total)

@@ -62,12 +62,11 @@ def test_over_limit_requests_raise_before_anything_is_built(monkeypatch):
 
     monkeypatch.setattr(fock, "_sector_rows", refuse_to_build)
     circuit = Circuit(4, 4, (Pdc(0, 0, 0.3), Pdc(3, 3, 0.2)))
-    vacuum = ((0,) * 4, (0,) * 4)
     for request in (
         lambda: fock.FockSpace(4, 4, 40, delta=0),
         lambda: fock.sector_space(4, 4, 40, 0),
         lambda: linamp.verify_duality(circuit, photon_budget=1, photon_cap=40),
-        lambda: fock.nonlinear_postselection_amplitude(circuit, vacuum, vacuum, photon_cap=40),
+        lambda: fock.postselection_amplitudes(circuit, [(0,) * 8], [(0, 0)], 40, fock.DEFAULT_LEAK_TOL),
     ):
         with pytest.raises(DimensionOverflowError, match=f"exceeds the limit of {fock.DIM_LIMIT}"):
             request()

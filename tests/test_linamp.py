@@ -369,6 +369,21 @@ def test_four_photon_estimate_refuses_patterns_that_are_not_two_paths_per_side(s
         linamp.four_photon_awp_amplitude(setup, s_pair, i_pair)
 
 
+def test_occupation_counts_reject_negative_counts():
+    with pytest.raises(ValueError, match=r"occupation counts must be nonnegative, got \(1, -1\)"):
+        linamp._occupation_counts(((1, -1), (0,)), 2, 1)
+
+
+def test_occupation_counts_accept_pairs_and_check_width():
+    for form in (((1, 0), (2,)), [[1, 0], [2]], (np.array([1, 0]), np.array([2], dtype=np.int32))):
+        counts = linamp._occupation_counts(form, 2, 1)
+        assert counts == ((1, 0), (2,)) and all(type(n) is int for n in counts[0] + counts[1])
+    with pytest.raises(ValueError, match=r"occupation has 1\+1 paths, expected 2\+1"):
+        linamp._occupation_counts(((1,), (2,)), 2, 1)
+    with pytest.raises(ValueError, match="occupation counts must be integers, got 1.5"):
+        linamp._occupation_counts(((1.5, 0), (2,)), 2, 1)
+
+
 @pytest.mark.parametrize("bad", [1.9, 2.0, np.float64(0.5), math.inf, math.nan])
 def test_occupation_counts_must_be_integers(bad):
     setup = build_ptr(Circuit(2, 1, (Pdc(0, 0, 0.3),)))

@@ -11,6 +11,9 @@ asserts a catch there:
 
 * the expectation check reads every amplitude quadratically, as M conj(M),
   so the phase of ``nc`` cancels (it reads 8e-16 under ``nc_modulus``);
+* conjugating a cavity factor keeps its modulus, so ``beta_conjugated``
+  changes only the phase of ``nc``; the expectation check is blind to it for
+  the reason above, and the Q-function check reads ``nc`` only as |nc|^2;
 * negating every gain multiplies an amplitude by (-1) to the number of
   signal photons in plus out; the teleportation demo reads only amplitudes
   from vacuum to two signal photons, so it passes under ``gain_negated``;
@@ -55,6 +58,20 @@ def si_conjugated(build_ptr):
         full, n_s = np.array(setup.scattering.full), setup.scattering.n_s
         full[0, n_s] = full[0, n_s].conj()
         return dataclasses.replace(setup, scattering=ScatteringMatrix.from_full(full, n_s, setup.scattering.n_i))
+
+    return patched
+
+
+def beta_conjugated(build_ptr):
+    """The dual setup with its first cavity factor of nonzero phase conjugated, nc rebuilt from the factors."""
+
+    def patched(circuit):
+        setup = build_ptr(circuit)
+        betas = list(setup.beta_factors)
+        if phased := [j for j, beta in enumerate(betas) if beta.imag]:
+            betas[phased[0]] = betas[phased[0]].conjugate()
+        nc = complex(setup.t_product * np.prod(betas))
+        return dataclasses.replace(setup, nc=nc, beta_factors=tuple(betas))
 
     return patched
 
@@ -108,13 +125,14 @@ def map_transposed(symplectic_from_transfer):
 FAULTS = {
     "nc_modulus": (ptr, "build_ptr", nc_modulus),
     "si_conjugated": (ptr, "build_ptr", si_conjugated),
+    "beta_conjugated": (ptr, "build_ptr", beta_conjugated),
     "gain_negated": (fock, "_apply_ladders", gain_negated),
     "merge_reversed": (fock, "_side_layers", merge_reversed),
     "top_short": (fock, "_side_layers", top_short),
     "diagonal_skipped": (fock, "_apply_unitary", diagonal_skipped),
     "map_transposed": (gaussian, "symplectic_from_transfer", map_transposed),
 }
-AMPLITUDE_FAULTS = ["nc_modulus", "si_conjugated", "gain_negated"]
+AMPLITUDE_FAULTS = ["nc_modulus", "si_conjugated", "beta_conjugated", "gain_negated"]
 
 
 def apply_fault(monkeypatch, name):
@@ -160,7 +178,7 @@ def circuit_file(tmp_path, circuit) -> str:
 
 @pytest.mark.parametrize("name", AMPLITUDE_FAULTS)
 def test_verify_reads_a_mismatch(monkeypatch, name):
-    """Unpatched 2.7e-10; patched 5.4e-2 (nc), 0.82 (si) and 2.0 (gain)."""
+    """Unpatched 2.7e-10; patched 5.4e-2 (nc), 0.82 (si), 0.11 (beta) and 2.0 (gain)."""
     assert linamp.verify_duality(verify_circuit(), 2, photon_cap=24).max_rel_residual < VERIFY_TOL
     apply_fault(monkeypatch, name)
     assert linamp.verify_duality(verify_circuit(), 2, photon_cap=24).max_rel_residual > 1e4 * VERIFY_TOL
