@@ -369,7 +369,7 @@ def _cmd_qfunc(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_awp(args) -> tuple[int, dict, list[str]]:
-    ratio = harness.four_photon_ratio(args.gain, seed=_seed(args))
+    ratio = harness.four_photon_ratio(args.gain, seed=_seed(args), photon_cap=args.cutoff)
     circuit = harness._awp_scenario_circuit(args.gain, _seed(args))
     nc = build_ptr(circuit).nc
     identity_residual = abs(ratio / nc - 1.0)
@@ -466,6 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-i", default=None, help="probe idler coherent amplitudes")
     for name in ("awp", "teleport"):
         parsers[name].add_argument("--gain", type=float, default=0.05, help="pair gain of both crystals")
+    parsers["awp"].add_argument(
+        "--cutoff", type=int, default=harness.AWP_PHOTON_CAP, help=f"total photon cap (default {harness.AWP_PHOTON_CAP})"
+    )
     p = parsers["teleport"]
     p.add_argument("--ch", default=None, help="prepared H amplitude, e.g. '0.6'")
     p.add_argument("--cv", default=None, help="prepared V amplitude, e.g. '0.8j'")

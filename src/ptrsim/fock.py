@@ -15,7 +15,11 @@ Every element acts block-diagonally on the truncated basis, and
   length) gives the exponential at every gain; it acts in factored form.
 * a one-sided linear network conserves the photon number k on its side; one
   k-photon block, built photon by photon from the unitary, serves every other side.
-* a diagonal network (a phase plate) multiplies each state by a phase.
+* a diagonal network (a phase plate) multiplies each state by a phase.  A
+  run of them, signal and idler alike, commutes, so it acts as one phase per
+  state from its summed angles; the run ends at a pair source or at a network
+  that mixes paths.  Each network's diagonal test and angles are taken once
+  and cached on the element.
 
 Blocks act by gather, matrix products and scatter.  Truncation is
 validated, never assumed: callers get a measured norm defect and a hard
@@ -25,7 +29,9 @@ Every brute-force amplitude, single or batched, comes from
 :func:`postselection_amplitudes`, so the ranking format stays in this module.
 The module takes count rows only, signal paths first, with index pairs into
 them.  It applies the one-sided networks outside the pair sources, which keep
-each side's photon number, only on the photon numbers the queried rows hold.
+each side's photon number, only on the photon numbers the queried rows hold;
+where a side holds only diagonal ones there, they merely rephase each queried
+row, so they become one phase per row and no sector evolves them.
 Its sector spaces are shared within a process.  :func:`sector_space` keeps the
 ``SECTOR_CACHE_SIZE`` (32) most recently used spaces, keyed by (signal
 paths, idler paths, cap, delta), which is all a space depends on; so
@@ -289,11 +295,11 @@ class FockSpace:
             plan.append((k, _frozen(self.indices(states).reshape(states.shape[:2]))))
         return plan
 
-    def _occupations(self, lo: int, hi: int) -> np.ndarray:
-        """Photon counts of the modes ``lo:hi`` as a contiguous float array, one row per state."""
-        key = ("occupation", lo, hi)
+    def _occupations(self) -> np.ndarray:
+        """Photon counts as a float array, one row per state."""
+        key = ("occupation",)
         if key not in self._plans:
-            self._plans[key] = _frozen(np.ascontiguousarray(self.counts[:, lo:hi], dtype=np.float64))
+            self._plans[key] = _frozen(self.counts.astype(np.float64))
         return self._plans[key]
 
 
@@ -428,26 +434,29 @@ def _apply_block(block: np.ndarray, idx: np.ndarray, matrix: np.ndarray) -> None
 
 def _apply_unitary(space: FockSpace, lo: int, hi: int, matrix: np.ndarray, block: np.ndarray, top=math.inf) -> None:
     """Lifted action of the unitary ``matrix`` on the modes ``lo:hi``; may skip rows of over ``top`` photons there."""
-    phases = np.diagonal(matrix)
-    if np.count_nonzero(matrix) == np.count_nonzero(phases):  # diagonal: a phase per state
-        block *= np.exp(1j * (space._occupations(lo, hi) @ np.angle(phases)))[:, None]
-        return
     plan = [(photons, idx) for photons, idx in space._number_blocks(lo, hi) if photons <= top]
     blocks = _lifted_blocks(matrix, plan[-1][0] if plan else 0)
     for photons, idx in plan:
         _apply_block(block, idx, blocks[photons])
 
 
-def _apply_element(space: FockSpace, element, block: np.ndarray) -> None:
-    from . import ptr  # local import: ptr depends on scatter only
+def _phases(counts: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """exp(i counts @ angles): the phase that diagonal networks of these ``angles`` give each count row."""
+    return np.exp(1j * (counts @ angles))
 
-    n_s, n_modes = space.n_s_paths, space.n_s_paths + space.n_i_paths
-    if isinstance(element, ptr.Pdc):
-        for diff, idx in space._ladders(element.s_path, element.i_path):
-            _apply_ladders(block, idx, diff, element.r)
-        return
-    lo, hi = (0, n_s) if element.side == "s" else (n_s, n_modes)
-    _apply_unitary(space, lo, hi, element.matrix, block)
+
+def _side_modes(side: str, n_s: int, n_modes: int) -> tuple[int, int]:
+    """(lo, hi): the modes of the signal (``"s"``) or idler side."""
+    return (0, n_s) if side == "s" else (n_s, n_modes)
+
+
+def _summed_angles(networks, n_s: int, n_modes: int) -> np.ndarray:
+    """Angles over all modes of the product of the diagonal one-sided ``networks``, which commute."""
+    angles = np.zeros(n_modes)
+    for network in networks:
+        lo, hi = _side_modes(network.side, n_s, n_modes)
+        angles[lo:hi] += network.angles
+    return angles
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +473,10 @@ def apply_circuit(
     """Apply the full nonlinear operator of ``circuit`` to a block of columns.
 
     Elements act in circuit order, each by its exact blocks (see the module
-    docstring), so only the requested columns are ever formed.
+    docstring), so only the requested columns are ever formed.  A run of
+    consecutive diagonal networks, signal and idler alike, acts as one phase
+    per state from its summed angles: diagonal operators commute, so the run
+    breaks only at a pair source or a network that mixes paths.
 
     Truncation is guarded two ways when ``leak_tol`` is set: the column
     norm defect (catches numerical breakdown; every block is unitary, so
@@ -476,15 +488,29 @@ def apply_circuit(
     necessary condition, not an error bound; quoted accuracies come from
     higher-cap reruns.
     """
+    from . import ptr  # local import: ptr depends on scatter only
+
     if circuit.n_s_paths != space.n_s_paths or circuit.n_i_paths != space.n_i_paths:
         raise ValueError("circuit and space disagree on path counts")
     block = np.array(block, dtype=np.complex128)  # private copy, evolved in place
     squeeze = block.ndim == 1
     if squeeze:
         block = block[:, None]
-    norms_in = np.linalg.norm(block, axis=0)
-    for element in circuit.elements:
-        _apply_element(space, element, block)
+    if leak_tol is not None:
+        norms_in = np.linalg.norm(block, axis=0)
+    n_s, n_modes = space.n_s_paths, space.counts.shape[1]
+    for diagonal, run in itertools.groupby(
+        circuit.elements, key=lambda element: not isinstance(element, ptr.Pdc) and element.angles is not None
+    ):
+        if diagonal:
+            block *= _phases(space._occupations(), _summed_angles(run, n_s, n_modes))[:, None]
+            continue
+        for element in run:
+            if isinstance(element, ptr.Pdc):
+                for diff, idx in space._ladders(element.s_path, element.i_path):
+                    _apply_ladders(block, idx, diff, element.r)
+            else:
+                _apply_unitary(space, *_side_modes(element.side, n_s, n_modes), element.matrix, block)
     if leak_tol is not None:
         norms_out = np.linalg.norm(block, axis=0)
         defect = float(np.max(np.abs(norms_out - norms_in) / np.maximum(norms_in, 1e-300)))
@@ -574,7 +600,10 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
     sector on :func:`sector_space`, whose columns are that sector's distinct
     inputs in lexicographic order.  That call evolves the circuit from its first
     pair source to its last; the one-sided networks around them, merged per
-    side, act only on the photon numbers the queried rows hold.  Counts that
+    side, act only on the photon numbers the queried rows hold.  A side whose
+    networks there are all diagonal only rephases a row: its angles, summed, give
+    each pair the phase exp(i counts . angles) of its input row (before the first
+    source) or output row (after the last), computed once per call.  Counts that
     are not integers, or negative, or above the cap, and pair indices that are
     not integers or fall outside ``occupations`` raise ``ValueError``.
     """
@@ -591,11 +620,18 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
     outside = ((pairs < 0) | (pairs >= len(counts))).any(axis=1)
     if outside.any():
         raise ValueError(f"pair {tuple(pairs[outside][0].tolist())} indexes outside the {len(counts)} occupations")
-    elements = circuit.elements
+    elements, n_modes = circuit.elements, counts.shape[1]
     sources = [j for j, element in enumerate(elements) if isinstance(element, ptr.Pdc)] or [len(elements)]
-    head = _side_layers(elements[: sources[0]], n_s, counts[pairs[:, 0]])
     core = ptr.Circuit(n_s, circuit.n_i_paths, elements[sources[0] : sources[-1] + 1])
-    tail = _side_layers(elements[sources[-1] + 1 :], n_s, counts[pairs[:, 1]])
+    # the networks before the first source act on the input rows, those after the last on the outputs
+    outer, rephased = [], []
+    for networks, rows in ((elements[: sources[0]], pairs[:, 0]), (elements[sources[-1] + 1 :], pairs[:, 1])):
+        mixing = {element.side for element in networks if element.angles is None}  # sides not merely rephased
+        angles = _summed_angles([element for element in networks if element.side not in mixing], n_s, n_modes)
+        if angles.any():  # a side of diagonal networks only rephases each queried row
+            rephased.append(_phases(counts, angles)[rows])
+        outer.append(_side_layers([element for element in networks if element.side in mixing], n_s, counts[rows]))
+    head, tail = outer
     d_in = differences[pairs[:, 0]]
     same = d_in == differences[pairs[:, 1]]
     amplitudes = np.zeros(len(pairs), dtype=np.complex128)
@@ -613,5 +649,7 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
         for lo, hi, unitary, top in tail:
             _apply_unitary(space, lo, hi, unitary, evolved, top)
         amplitudes[members] = evolved[space._ranked_rows(codes, outs, counts), cols]
+    for phases in rephased:
+        amplitudes *= phases
     return amplitudes
 

@@ -35,6 +35,8 @@ from .scatter import hypothetical_bs
 MAX_PATHS = 4
 MAX_PDCS = 4
 MAX_RANDOM_GAIN = 1.2
+#: default photon cap of :func:`four_photon_ratio` and ``ptrsim awp --cutoff``
+AWP_PHOTON_CAP = 14
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -267,7 +269,7 @@ def _awp_scenario_circuit(r: float, seed: int = 20) -> Circuit:
     )
 
 
-def four_photon_ratio(r: float, seed: int = 20, photon_cap: int = 14) -> complex:
+def four_photon_ratio(r: float, seed: int = 20, photon_cap: int = AWP_PHOTON_CAP) -> complex:
     """Brute-force four-fold amplitude over its product-form estimate.
 
     The estimate drops the normalization coefficient on purpose — that is

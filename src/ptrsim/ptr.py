@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
@@ -59,7 +60,18 @@ class _Linear:
         defect = scatter.unitarity_defect(matrix)
         if defect > UNITARITY_TOL:
             raise ValueError(f"{name}-side matrix is not unitary: defect {defect:.3e} exceeds 1e-10")
+        matrix.setflags(write=False)  # :attr:`angles` is cached from it
         object.__setattr__(self, "matrix", matrix)
+
+    @cached_property
+    def angles(self) -> np.ndarray | None:
+        """Read-only phase angles of the diagonal when the network is diagonal (phase plates), else None."""
+        phases = np.diagonal(self.matrix)
+        if np.count_nonzero(self.matrix) != np.count_nonzero(phases):
+            return None
+        angles = np.angle(phases)
+        angles.setflags(write=False)
+        return angles
 
 
 @dataclass(frozen=True)

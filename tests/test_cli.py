@@ -334,7 +334,7 @@ def test_qfunc_command_exits_3_on_a_non_finite_residual(circuit_file, capsys, mo
         ["teleport", "--tol", "1e-3"],
         ["qfunc", "--circuit", "CIRCUIT", "--cutoff", "5"],
         ["amp", "--circuit", "CIRCUIT", "--input", "1,0;0,1", "--output", "1,0;0,1", "--max-photons", "2"],
-        ["awp", "--cutoff", "3"],
+        ["awp", "--max-photons", "3"],
     ],
 )
 def test_commands_refuse_flags_they_do_not_read(circuit_file, capsys, argv):
@@ -407,6 +407,20 @@ def test_awp_command(capsys):
     assert cli.main(["awp", "--gain", "0.05"]) == 0
     out = capsys.readouterr().out
     assert "four-photon ratio" in out
+
+
+def test_awp_cutoff_raises_the_cap_the_leak_guard_asks_for(capsys):
+    """At gain 0.6 the default cap of 14 leaves a leak estimate of 1.1e-3; at 30 the identity holds to 3.4e-14."""
+    assert cli.main(["awp", "--gain", "0.6"]) == 3
+    assert "raise the photon cap" in capsys.readouterr().err
+    assert cli.main(["awp", "--gain", "0.6", "--cutoff", "30", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["identity_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", ["3", "-1"])
+def test_awp_refuses_a_cutoff_below_its_four_photons(capsys, cutoff):
+    assert cli.main(["awp", "--cutoff", cutoff]) == 2
+    assert "error: photon cap below the requested occupations" in capsys.readouterr().err
 
 
 def test_teleport_command_json(capsys):

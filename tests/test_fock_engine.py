@@ -232,6 +232,73 @@ def test_leak_guard_regression_with_outer_networks(pair):
     assert fock.postselection_amplitudes(circuit, rows, [pair], 20, 1e-3)[0] != 0
 
 
+@st.composite
+def phase_plate_runs(draw, n_s: int, n_i: int) -> list:
+    """One to three phase plates with up to two Haar networks shuffled in."""
+    # the oracle's scipy logm overflows on a subnormal phase such as 2.2e-313
+    phases, seeds = st.floats(-math.pi, math.pi, allow_subnormal=False), st.integers(0, 2**32 - 1)
+    plates = [
+        PhaseS(draw(st.integers(0, n_s - 1)), draw(phases)) if draw(st.booleans())
+        else PhaseI(draw(st.integers(0, n_i - 1)), draw(phases))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    networks = [
+        LinearS(haar(n_s, draw(seeds))) if side == "s" else LinearI(haar(n_i, draw(seeds)))
+        for side in draw(st.lists(st.sampled_from("si"), max_size=2))
+    ]
+    return list(draw(st.permutations(plates + networks)))
+
+
+@st.composite
+def phase_plate_circuits(draw):
+    """Runs of phase plates before the first source, between sources and after the last."""
+    n_s, n_i = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    elements = draw(phase_plate_runs(n_s, n_i))
+    for _ in range(draw(st.integers(1, 2))):
+        elements.append(Pdc(draw(st.integers(0, n_s - 1)), draw(st.integers(0, n_i - 1)), draw(st.floats(0.0, 1.2))))
+        elements += draw(phase_plate_runs(n_s, n_i))
+    caps = [cap for cap in range(10, 2, -1) if sector_size(n_s, n_i, cap, None) <= MAX_ORACLE_DIM]
+    return Circuit(n_s, n_i, tuple(elements)), draw(st.sampled_from(caps))
+
+
+def assert_amplitudes_match_dense_oracle(circuit, cap: int, budget: int = 3) -> None:
+    """Every pair of rows within ``budget`` photons, through postselection_amplitudes, against the dense operator."""
+    rows = fock.occupations_upto(circuit.n_s_paths + circuit.n_i_paths, budget)
+    pairs = [(a, b) for a in range(len(rows)) for b in range(len(rows))]
+    got = fock.postselection_amplitudes(circuit, rows, pairs, cap, None)
+    space = fock.FockSpace(circuit.n_s_paths, circuit.n_i_paths, cap)
+    where = space.indices(rows)
+    dense = oracles.nonlinear_operator(circuit, space)
+    expected = np.array([dense[where[b], where[a]] for a, b in pairs])
+    assert np.count_nonzero(expected) and np.max(np.abs(got - expected)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(phase_plate_circuits())
+def test_amplitudes_with_phase_plate_runs_match_dense_oracle(case):
+    assert_amplitudes_match_dense_oracle(*case)
+
+
+def test_amplitudes_with_a_head_diagonal_on_one_side_only_match_dense_oracle():
+    """Before the first source the signal side holds only phase plates and the idler side a Haar network,
+    after the last the other way round: each end rephases its rows on one side and evolves the other."""
+    circuit = Circuit(2, 2, (
+        PhaseS(0, 0.7), LinearI(haar(2, 91)), PhaseS(1, -1.1), PhaseI(0, 0.4),
+        Pdc(0, 1, 0.6), PhaseS(1, 0.3), Pdc(1, 0, 0.5),
+        LinearS(haar(2, 92)), PhaseI(1, 2.2), PhaseI(0, -0.6),
+    ))
+    assert_amplitudes_match_dense_oracle(circuit, 4)
+
+
+def test_leak_guard_leaves_the_evolved_block_unchanged():
+    """The guard only reads the block: with it on, apply_circuit returns the same bits as with it off."""
+    circuit = Circuit(2, 1, (PhaseS(1, 0.4), Pdc(0, 0, 0.5), PhaseI(0, 1.3), LinearS(haar(2, 9)), Pdc(1, 0, 0.4)))
+    space = fock.FockSpace(2, 1, 24, delta=0)
+    block = oracles.one_hot(space, [(0, 0, 0), (1, 0, 1), (0, 1, 1)])
+    guarded = fock.apply_circuit(circuit, space, block, leak_tol=1e-3)
+    assert np.array_equal(guarded, fock.apply_circuit(circuit, space, block, leak_tol=None))
+
+
 def imported_names(module) -> set[str]:
     """Every dotted-name part a module imports, at module level or inside a function."""
     imported = set()

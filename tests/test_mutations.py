@@ -25,7 +25,6 @@ asserts a catch there:
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -103,12 +102,11 @@ def top_short(side_layers):
     return patched
 
 
-def diagonal_skipped(apply_unitary):
-    """The brute arm with its diagonal networks (phase plates) left out."""
+def diagonal_skipped(phases):
+    """The brute arm with its diagonal networks (phase plates) left out, before, between and after the sources."""
 
-    def patched(space, lo, hi, matrix, block, top=math.inf):
-        if np.count_nonzero(matrix) != np.count_nonzero(np.diagonal(matrix)):
-            apply_unitary(space, lo, hi, matrix, block, top)
+    def patched(counts, angles):
+        return phases(counts, np.zeros_like(angles))
 
     return patched
 
@@ -129,7 +127,7 @@ FAULTS = {
     "gain_negated": (fock, "_apply_ladders", gain_negated),
     "merge_reversed": (fock, "_side_layers", merge_reversed),
     "top_short": (fock, "_side_layers", top_short),
-    "diagonal_skipped": (fock, "_apply_unitary", diagonal_skipped),
+    "diagonal_skipped": (fock, "_phases", diagonal_skipped),
     "map_transposed": (gaussian, "symplectic_from_transfer", map_transposed),
 }
 AMPLITUDE_FAULTS = ["nc_modulus", "si_conjugated", "beta_conjugated", "gain_negated"]

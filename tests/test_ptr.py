@@ -143,6 +143,16 @@ def test_phase_plates_are_stored_as_diagonal_networks():
     assert np.array_equal(plate_i.matrix, np.diag([np.exp(-1.2j), 1]))
 
 
+def test_network_angles_are_cached_from_a_read_only_matrix():
+    plate = Circuit(2, 1, (PhaseS(1, 0.7),)).elements[0]
+    assert np.allclose(plate.angles, [0.0, 0.7]) and plate.angles is plate.angles
+    assert LinearI(np.diag([1j, -1])).angles.tolist() == [math.pi / 2, math.pi]
+    assert LinearS(haar(2, 3)).angles is None
+    for array in (plate.matrix, plate.angles):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 def test_su11_expected_matches_built_network():
     r, phi_s, phi_i = 0.5, 0.9, -0.4
     setup = build_ptr(su11_circuit(r, phi_s, phi_i))
