@@ -132,7 +132,6 @@ def _lex_rank(counts: np.ndarray, cap: int) -> np.ndarray:
     return (table[budget, after] - table[budget - counts, after]).sum(axis=1)
 
 
-@lru_cache(maxsize=256)
 def _sector_dimension(n_s: int, n_i: int, cap: int, delta: int | None) -> int:
     if delta is None:
         return math.comb(cap + n_s + n_i, n_s + n_i)

@@ -229,11 +229,12 @@ def compare_amplitudes(
 
     ``occupations`` holds count rows, signal paths first; pair (a, b) takes
     row a in and row b out.  The brute-force side comes from
-    :func:`fock.postselection_amplitudes`, which checks the rows and pairs,
-    and the dual side from :func:`ptr_postselection_amplitude`, once per
-    pair.  The cap defaults to :func:`fock.auto_photon_cap` of the fullest
-    row.  Amplitude pairs whose magnitudes both fall below ``ATOL`` count
-    as residual zero; a NaN amplitude leaves a NaN residual.
+    :func:`fock.postselection_amplitudes`, which checks the rows and pairs;
+    the dual side takes the same swapped-row permanents as
+    :func:`ptr_postselection_amplitude` on those rows, once per pair, with
+    no second check.  The cap defaults to :func:`fock.auto_photon_cap` of
+    the fullest row.  Amplitude pairs whose magnitudes both fall below
+    ``ATOL`` count as residual zero; a NaN amplitude leaves a NaN residual.
     """
     if photon_cap is None:
         photon_cap = fock.auto_photon_cap(max(map(sum, occupations), default=0), circuit.total_gain)
@@ -242,9 +243,11 @@ def compare_amplitudes(
     n_s = circuit.n_s_paths
     counts = np.asarray(occupations, dtype=np.int64).reshape(len(occupations), n_s + circuit.n_i_paths)
     comparisons = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
-    rows = [(tuple(row[:n_s]), tuple(row[n_s:])) for row in counts.tolist()]
-    dual = [ptr_postselection_amplitude(setup, rows[a], rows[b]) for a, b in comparisons.tolist()]
-    dual = np.array(dual, dtype=np.complex128)
+    swapped = counts[comparisons]  # (P, 2, modes): each pair's input and output rows, checked above
+    swapped[:, :, n_s:] = swapped[:, ::-1, n_s:]  # partial time reversal swaps the idler counts
+    full, nc = setup.scattering.full, setup.nc
+    # the Python complex product, as ptr_postselection_amplitude takes it: numpy's may differ in the last bit
+    dual = np.array([nc * _counts_amplitude(full, *rows) for rows in swapped.tolist()], dtype=np.complex128)
     abs_residual = np.abs(nonlinear - dual)
     scale = np.maximum(np.abs(nonlinear), np.abs(dual))  # NaN next to a NaN amplitude, so the residual stays NaN
     with np.errstate(invalid="ignore", divide="ignore"):

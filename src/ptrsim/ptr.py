@@ -7,7 +7,9 @@ stores as diagonal networks of their side.  Substituting
 every pair source by its hypothetical beamsplitter and folding the chain
 with the Redheffer star product yields the scattering matrix of the dual
 linear setup together with the normalization coefficient that relates
-postselected amplitudes of the two pictures.
+postselected amplitudes of the two pictures.  Only a pair source closes a
+cavity: a one-sided network folds in by plain multiplication, and the star
+product runs only at the beamsplitters of nonzero-gain sources.
 """
 
 from __future__ import annotations
@@ -185,67 +187,41 @@ class PtrSetup:
     t_product: float
 
 
-def _scattering_factors(circuit: Circuit) -> list[tuple[ScatteringMatrix, Pdc | None]]:
-    """Star-product factors of the substituted linear circuit, in fold order.
-
-    Consecutive one-sided linear elements are merged into a single factor
-    per run; each pair source becomes its hypothetical beamsplitter and is
-    tagged with its element (``None`` tags merged linear factors).  Zero-gain
-    pair sources are dropped.
-    """
-    n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
-    factors: list[tuple[ScatteringMatrix, Pdc | None]] = []
-    identity = {"s": np.eye(n_s, dtype=np.complex128), "i": np.eye(n_i, dtype=np.complex128)}
-    pending = dict(identity)
-    dirty = False
-
-    def flush():
-        nonlocal pending, dirty
-        if dirty:
-            full = np.zeros((n_s + n_i, n_s + n_i), dtype=np.complex128)
-            full[:n_s, :n_s], full[n_s:, n_s:] = pending["s"], pending["i"].T
-            factors.append((ScatteringMatrix._wrap(full, n_s, n_i), None))
-            pending = dict(identity)
-            dirty = False
-
-    for element in circuit.elements:
-        if not isinstance(element, Pdc):
-            pending[element.side] = element.matrix @ pending[element.side]
-            dirty = True
-        elif element.r != 0:
-            flush()
-            factors.append(
-                (scatter.hypothetical_bs(element.r, element.s_path, element.i_path, n_s, n_i), element)
-            )
-    flush()
-    return factors
-
-
 def build_ptr(circuit: Circuit) -> PtrSetup:
     """Fold the substituted circuit into its dual setup and coefficient.
 
-    The scattering matrix is the left-to-right star product of the factors
-    of :func:`_scattering_factors`; the star product skips the feedback
-    loops that the identity start and the one-sided linear factors leave
-    open.  Each pair source contributes sech(r) to the transmittance product
-    and one cavity factor, the inverse determinant of the feedback loop
-    between the folded prefix and its beamsplitter.  That loop has rank one,
-    so the determinant is 1 + tanh(r) * prefix.si[s_path, i_path] (the
+    Elements fold in circuit order.  A one-sided network closes no loop,
+    so its star product with the folded prefix is a plain multiplication:
+    a signal unitary U takes the signal rows to U @ rows and an idler
+    unitary V the idler columns to columns @ V.T.  Each nonzero-gain pair
+    source joins as its hypothetical beamsplitter through the star product
+    (which skips the leading source's loop, empty before any coupling) and
+    contributes sech(r) to the transmittance product and one cavity
+    factor, the inverse determinant of the feedback loop between the
+    folded prefix and its beamsplitter.  That loop has rank one, so the
+    determinant is 1 + tanh(r) * prefix.si[s_path, i_path] (the
     matrix-determinant lemma, the looping-photon factor of
     :func:`looping_series_defect`); for the leading pair source it is one.
     """
-    current = ScatteringMatrix.identity(circuit.n_s_paths, circuit.n_i_paths)
+    n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
+    full = np.eye(n_s + n_i, dtype=np.complex128)
     t_product = 1.0
     betas: list[complex] = []
-    for factor, source in _scattering_factors(circuit):
-        folded = scatter.star(current, factor)  # a singular loop raises here, before its factor divides by zero
-        if source is not None:
-            loop_value = math.tanh(source.r) * complex(current.si[source.s_path, source.i_path])
+    for element in circuit.elements:
+        if isinstance(element, LinearS):
+            full[:n_s] = element.matrix @ full[:n_s]
+        elif isinstance(element, LinearI):
+            full[:, n_s:] = full[:, n_s:] @ element.matrix.T
+        elif element.r != 0:
+            source = scatter.hypothetical_bs(element.r, element.s_path, element.i_path, n_s, n_i)
+            # a singular loop raises here, before its factor divides by zero
+            folded = scatter.star(ScatteringMatrix._wrap(full, n_s, n_i), source)
+            loop_value = math.tanh(element.r) * complex(full[element.s_path, n_s + element.i_path])
             betas.append(1.0 / (1.0 + loop_value))
-            t_product *= 1.0 / math.cosh(source.r)
-        current = folded
+            t_product *= 1.0 / math.cosh(element.r)
+            full = folded.full.copy()
     nc = complex(t_product * np.prod(betas) if betas else t_product)
-    return PtrSetup(current, nc, tuple(betas), t_product)
+    return PtrSetup(ScatteringMatrix._wrap(full, n_s, n_i), nc, tuple(betas), t_product)
 
 
 def circuit_transfer(circuit: Circuit) -> TransferMatrix:

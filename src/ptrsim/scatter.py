@@ -108,8 +108,8 @@ def star(first: ScatteringMatrix, second: ScatteringMatrix) -> ScatteringMatrix:
     The feedback loop between ``first.si`` and ``second.is_`` is resolved by
     the two cavity inverses; a singular or hopelessly ill-conditioned loop
     raises :class:`SingularCavityError`.  A loop whose coupling product is
-    all zero, as after the identity or a one-sided linear factor, is exactly
-    the identity and is skipped.
+    all zero, as for the first pair source folded onto a prefix of
+    one-sided networks, is exactly the identity and is skipped.
     """
     if first.n_s != second.n_s or first.n_i != second.n_i:
         raise ValueError("path counts disagree")

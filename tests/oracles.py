@@ -285,8 +285,16 @@ def number_generator(space, coeff: np.ndarray) -> scipy.sparse.csr_matrix:
 
 
 def skew_log(unitary: np.ndarray) -> np.ndarray:
-    """Anti-Hermitian part of the principal matrix logarithm."""
-    gen = scipy.linalg.logm(np.asarray(unitary, dtype=np.complex128))
+    """Anti-Hermitian part of the principal matrix logarithm.
+
+    A diagonal unitary (a phase plate) takes i times its phase angles
+    exactly; scipy's ``logm`` overflows on a subnormal angle such as 2.2e-313.
+    """
+    unitary = np.asarray(unitary, dtype=np.complex128)
+    phases = np.diagonal(unitary)
+    if np.array_equal(unitary, np.diag(phases)):
+        return np.diag(1j * np.angle(phases))
+    gen = scipy.linalg.logm(unitary)
     return (gen - gen.conj().T) / 2
 
 
@@ -385,7 +393,26 @@ def vacuum_q_determinant_defect(circuit) -> float:
 
 
 def substituted_factors(circuit) -> list:
-    """Star-product factors of the substituted circuit, in fold order."""
-    from ptrsim.ptr import _scattering_factors
+    """One star-product factor per element of the substituted circuit, in circuit order.
 
-    return [factor for factor, _ in _scattering_factors(circuit)]
+    A pair source becomes its hypothetical beamsplitter, written out here:
+    sech r on its two paths, tanh r from idler to signal and minus tanh r
+    back (a zero-gain source is the identity).  A one-sided network enters
+    through :func:`embed_linear`.
+    """
+    from ptrsim.ptr import LinearS, Pdc
+    from ptrsim.scatter import ScatteringMatrix
+
+    n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
+    factors = []
+    for element in circuit.elements:
+        if isinstance(element, Pdc):
+            full = np.eye(n_s + n_i, dtype=np.complex128)
+            s, i = element.s_path, n_s + element.i_path
+            full[s, s] = full[i, i] = 1 / math.cosh(element.r)
+            full[s, i], full[i, s] = math.tanh(element.r), -math.tanh(element.r)
+            factors.append(ScatteringMatrix.from_full(full, n_s, n_i))
+        else:
+            side = "s" if isinstance(element, LinearS) else "i"
+            factors.append(embed_linear(element.matrix, side, n_s, n_i))
+    return factors

@@ -271,13 +271,16 @@ def test_duality_report_names_the_worst_pair_a_nan_first(residuals, worst):
 def test_duality_keeps_a_nan_dual_amplitude_next_to_a_zero_brute_one(monkeypatch):
     # signal path 1 is idle, so brute force gives exactly 0 for 1,0;0 -> 0,1;0;
     # max(|brute|, |dual|) drops the NaN and alone would read "both below atol"
-    broken = ((1, 0), (0,)), ((0, 1), (0,))
-    dual = linamp.ptr_postselection_amplitude
+    # the dual side takes that pair as the swapped count rows 1,0,0 in and 0,1,0 out
+    broken = (1, 0, 0), (0, 1, 0)
+    dual = linamp._counts_amplitude
 
-    def nan_on_one_pair(setup, occ_in, occ_out):
-        return complex(math.nan, 0.0) if (occ_in, occ_out) == broken else dual(setup, occ_in, occ_out)
+    def nan_on_one_pair(matrix, in_counts, out_counts):
+        if (tuple(in_counts), tuple(out_counts)) == broken:
+            return complex(math.nan, 0.0)
+        return dual(matrix, in_counts, out_counts)
 
-    monkeypatch.setattr(linamp, "ptr_postselection_amplitude", nan_on_one_pair)
+    monkeypatch.setattr(linamp, "_counts_amplitude", nan_on_one_pair)
     report = linamp.verify_duality(Circuit(2, 1, (Pdc(0, 0, 0.3),)), photon_budget=1, photon_cap=8)
     rows = report.occupations.tolist()
     (hit,) = [k for k, (a, b) in enumerate(report.comparisons) if (rows[a], rows[b]) == ([1, 0, 0], [0, 1, 0])]

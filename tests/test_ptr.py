@@ -99,7 +99,7 @@ def determinant_oracle(circuit: Circuit):
     current = scatter.ScatteringMatrix.identity(circuit.n_s_paths, circuit.n_i_paths)
     betas = []
     for factor in oracles.substituted_factors(circuit):
-        if factor.is_.any():  # a pair source's beamsplitter; merged linear factors have no is_ block
+        if factor.is_.any():  # a nonzero-gain source's beamsplitter; one-sided and zero-gain factors have no is_ block
             loop = np.eye(circuit.n_s_paths) - current.si @ factor.is_
             betas.append(1.0 / np.linalg.det(loop))
         current = scatter.star(current, factor)
@@ -112,6 +112,17 @@ def oracle_circuits():
         for max_r in (0.5, 1.2):
             yield harness.random_circuit(seed, n_s, n_i, 3, max_r)
     yield high_gain_circuit()
+    # build_ptr folds one-sided networks by multiplication; each way one can sit around the sources
+    s, i = LinearS, LinearI
+    yield Circuit(2, 2, (Pdc(0, 1, 0.6), s(haar(2, 11)), Pdc(1, 0, 0.0), i(haar(2, 12)), Pdc(1, 1, 0.5)))
+    same_side_runs = (s(haar(2, 13)), s(haar(2, 14)), Pdc(0, 0, 0.7), i(haar(2, 15)), i(haar(2, 16)), i(haar(2, 17)))
+    yield Circuit(2, 2, (*same_side_runs, Pdc(1, 1, 0.4), s(haar(2, 18)), s(haar(2, 19))))
+    idler_head = (i(haar(3, 20)), i(haar(3, 21)))
+    yield Circuit(2, 3, (*idler_head, Pdc(0, 2, 0.8), s(haar(2, 22)), Pdc(1, 0, 0.5), i(haar(3, 23))))
+    yield Circuit(2, 2, (s(haar(2, 24)), i(haar(2, 25)), s(haar(2, 26))))
+    yield Circuit(1, 2, (i(haar(2, 27)), Pdc(0, 1, 0.0), s(haar(1, 28))))
+    plates = (PhaseI(1, 0.3), PhaseS(0, -1.1), Pdc(0, 1, 0.9), PhaseS(1, 2.0), PhaseS(0, 0.4), PhaseI(0, -2.5))
+    yield Circuit(2, 2, (*plates, Pdc(1, 1, 0.6), PhaseI(1, 1.7)))
 
 
 @pytest.mark.parametrize("circuit", list(oracle_circuits()))
@@ -120,7 +131,7 @@ def test_closed_form_cavity_factors_match_loop_determinants(circuit):
     setup = build_ptr(circuit)
     assert np.abs(setup.scattering.full - full).max() <= 1e-13
     assert abs(setup.nc - nc) <= 1e-13 * abs(nc)
-    assert len(setup.beta_factors) == len(betas) == circuit.pdc_count
+    assert len(setup.beta_factors) == len(betas) == sum(1 for el in circuit.elements if isinstance(el, Pdc) and el.r)
     assert np.all(np.abs(np.subtract(setup.beta_factors, betas)) <= 1e-13 * np.abs(betas))
 
 

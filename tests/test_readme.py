@@ -29,6 +29,16 @@ def test_readme_python_block_runs(source):
     exec(compile(source, f"{README.name} python block", "exec"), {"__name__": "readme"})
 
 
+def test_readme_quick_start_prints_the_values_its_comments_give(capsys):
+    (quick_start,) = [block for block in BLOCKS if "verify_duality" in block]
+    exec(compile(quick_start, f"{README.name} quick start", "exec"), {"__name__": "readme"})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("#", 1)[1] for line in quick_start.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments) == 4
+    assert printed[1] == "70" and comments[1].split()[0] == "70"
+    assert printed[3] == "((1, 0, 1), (0, 1, 1))" and comments[3].endswith(": ((1, 0, 1), (0, 1, 1))")
+
+
 def test_readme_has_cli_examples():
     assert len(COMMANDS) >= 9
 
