@@ -294,6 +294,7 @@ def _cmd_amp(args) -> tuple[int, dict, list[str]]:
     payload = {
         "input": args.input,
         "output": args.output,
+        "photon_cap": report.photon_cap,
         "nonlinear_amplitude": _encode_complex(brute),
         "ptr_amplitude": _encode_complex(dual),
         "abs_residual": float(report.abs_residual[0]),
@@ -375,6 +376,7 @@ def _cmd_awp(args) -> tuple[int, dict, list[str]]:
     identity_residual = abs(ratio / nc - 1.0)
     payload = {
         "gain": args.gain,
+        "photon_cap": args.cutoff,
         "classical_ratio": _encode_complex(ratio),
         "classical_ratio_deviation": abs(ratio - 1.0),
         "identity_residual": identity_residual,

@@ -3,8 +3,9 @@
 The basis holds the occupation vectors over all signal and idler paths whose
 *total* photon number is at most a global cap, in lexicographic order; every
 element conserves signal minus idler photon number, so it may be restricted
-to one such sector.  States are located by an arithmetic rank of that order
-(the combinatorial number system), so index maps are numpy work.
+to one such sector, or to a union of them whose sectors never mix.  States
+are located by an arithmetic rank of that order (the combinatorial number
+system), so index maps are numpy work.
 
 Every element acts block-diagonally on the truncated basis, and
 :func:`apply_circuit` applies it block by block:
@@ -28,20 +29,23 @@ error once it crosses the configured leak tolerance.
 Every brute-force amplitude, single or batched, comes from
 :func:`postselection_amplitudes`, so the ranking format stays in this module.
 The module takes count rows only, signal paths first, with index pairs into
-them.  It applies the one-sided networks outside the pair sources, which keep
-each side's photon number, only on the photon numbers the queried rows hold;
-where a side holds only diagonal ones there, they merely rephase each queried
-row, so they become one phase per row and no sector evolves them.
-Its sector spaces are shared within a process.  :func:`sector_space` keeps the
-``SECTOR_CACHE_SIZE`` (32) most recently used spaces, keyed by (signal
-paths, idler paths, cap, delta), which is all a space depends on; so
-circuits of one shape and cap reuse its rows, ranks and the ladder,
-number-block and occupation plans it builds on first use, while
-:class:`FockSpace` and :func:`enumerate_basis` build a new one per call.
-Every array of a space and of its plans is read-only: the next caller
-evolves on the same object, so a write would change its results.  No space
-holds more than ``DIM_LIMIT`` states; the size is counted by formula before
-anything is built.
+them.  It evolves the sectors with equally many distinct inputs as one block
+on the space of their union, column j holding each one's j-th input, and
+builds every ladder decomposition and lifted block once per call, whatever
+the number of blocks.  It applies the one-sided networks outside the pair
+sources, which keep each side's photon number, only on the photon numbers the
+queried rows hold; where a side holds only diagonal ones there, they merely
+rephase each queried row, so they become one phase per row and no sector
+evolves them.  Its sector spaces are shared within a process.
+:func:`sector_space` keeps the ``SECTOR_CACHE_SIZE`` (32) most recently used
+spaces, keyed by (signal paths, idler paths, cap, delta or tuple of deltas),
+which is all a space depends on; so circuits of one shape and cap reuse its
+rows, ranks and the ladder, number-block, occupation and sector plans it
+builds on first use, while :class:`FockSpace` and :func:`enumerate_basis`
+build a new one per call.  Every array of a space and of its plans is
+read-only: the next caller evolves on the same object, so a write would
+change its results.  No space holds more than ``DIM_LIMIT`` states; the size
+is counted by formula before anything is built.
 """
 
 from __future__ import annotations
@@ -127,11 +131,17 @@ def _lex_rank(counts: np.ndarray, cap: int) -> np.ndarray:
     """
     n_modes = counts.shape[1]
     table = _stars_and_bars(cap, n_modes)
-    budget = cap - np.cumsum(counts, axis=1) + counts
     after = np.arange(n_modes, 0, -1)  # k + 1 for each mode
-    return (table[budget, after] - table[budget - counts, after]).sum(axis=1)
+    budget = np.cumsum(counts, axis=1)  # updated in place: ranks are taken over many rows at once
+    budget -= counts
+    np.subtract(cap, budget, out=budget)
+    rank = table[budget, after]
+    budget -= counts
+    rank -= table[budget, after]
+    return rank.sum(axis=1)
 
 
+@lru_cache(maxsize=1024)
 def _sector_dimension(n_s: int, n_i: int, cap: int, delta: int | None) -> int:
     if delta is None:
         return math.comb(cap + n_s + n_i, n_s + n_i)
@@ -185,20 +195,27 @@ class FockSpace:
         n_s_paths: number of signal paths.
         n_i_paths: number of idler paths.
         photon_cap: largest allowed total photon number (signal plus idler).
-        delta: optional restriction to one conserved signal-minus-idler sector.
+        delta: optional restriction to one conserved signal-minus-idler
+            sector, or to the union of a tuple of them.
 
     Raises:
         DimensionOverflowError: the basis would exceed ``DIM_LIMIT`` states.
     """
 
-    def __init__(self, n_s_paths: int, n_i_paths: int, photon_cap: int, delta: int | None = None) -> None:
+    def __init__(
+        self, n_s_paths: int, n_i_paths: int, photon_cap: int, delta: int | tuple[int, ...] | None = None
+    ) -> None:
         if n_s_paths < 1 or n_i_paths < 1:
             raise ValueError("need at least one signal and one idler path")
         if photon_cap < 0:
             raise ValueError("photon cap must be nonnegative")
         if math.comb(photon_cap + n_s_paths + n_i_paths, n_s_paths + n_i_paths) >= 2**63:
             raise DimensionOverflowError("states of this cap and path count do not rank in 64 bits")
-        expected = _sector_dimension(n_s_paths, n_i_paths, photon_cap, delta)
+        deltas = None if delta is None else sorted(set(np.atleast_1d(delta).tolist()))
+        if deltas is None:
+            expected = _sector_dimension(n_s_paths, n_i_paths, photon_cap, None)
+        else:
+            expected = sum(_sector_dimension(n_s_paths, n_i_paths, photon_cap, d) for d in deltas)
         if expected > DIM_LIMIT:
             raise DimensionOverflowError(
                 f"basis of {expected} states exceeds the limit of {DIM_LIMIT}; "
@@ -208,15 +225,20 @@ class FockSpace:
         self.n_i_paths = n_i_paths
         self.photon_cap = photon_cap
         self.delta = delta
-        if delta is None:
+        self._deltas = deltas
+        if deltas is None:
             n_modes = n_s_paths + n_i_paths
             counts = np.ascontiguousarray(_compositions(n_modes + 1, photon_cap)[:, :n_modes])
         else:
-            counts = _sector_rows(n_s_paths, n_i_paths, photon_cap, delta)
+            counts = np.concatenate([_sector_rows(n_s_paths, n_i_paths, photon_cap, d) for d in deltas])
+        codes = _lex_rank(counts, photon_cap)
+        if deltas is not None:  # each sector's rows are lexicographic, so a stable sort merges them
+            order = np.argsort(codes, kind="stable")
+            counts, codes = counts[order], codes[order]
         # read-only like every plan below: a space may be shared, see sector_space
         self.counts = _frozen(counts)
         self.totals = _frozen(counts.sum(axis=1))
-        self._codes = _frozen(_lex_rank(counts, photon_cap))  # increasing: the rows are lexicographic
+        self._codes = _frozen(codes)  # increasing: the rows are lexicographic
         self._plans: dict[tuple, object] = {}
         assert len(self.counts) == expected
 
@@ -230,10 +252,11 @@ class FockSpace:
         counts = _count_rows(counts).reshape(-1, n_s + self.n_i_paths)
         inside = (counts.min(axis=1) >= 0) & (counts.max(axis=1) <= self.photon_cap)  # no row sum wraps
         inside &= counts.sum(axis=1) <= self.photon_cap
-        if self.delta is not None:
-            inside &= counts[:, :n_s].sum(axis=1) - counts[:, n_s:].sum(axis=1) == self.delta
+        if self._deltas is not None:
+            inside &= np.isin(counts[:, :n_s].sum(axis=1) - counts[:, n_s:].sum(axis=1), self._deltas)
         found = np.full(len(counts), -1, dtype=np.int64)
-        found[inside] = np.searchsorted(self._codes, _lex_rank(counts[inside], self.photon_cap))
+        rows = counts if inside.all() else counts[inside]
+        found[inside] = np.searchsorted(self._codes, _lex_rank(rows, self.photon_cap))
         return found
 
     def _ranked_rows(self, codes: np.ndarray, picks: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -259,14 +282,24 @@ class FockSpace:
         feet = np.flatnonzero(np.minimum(self.counts[:, a], self.counts[:, b]) == 0)
         diff = np.abs(self.counts[feet, a] - self.counts[feet, b])
         rungs = (self.photon_cap - self.totals[feet]) // 2 + 1
-        step = np.zeros(self.counts.shape[1], dtype=np.int64)
-        step[[a, b]] = 1
-        plan = self._plans[key] = []
-        for d, length in sorted(set(zip(diff.tolist(), rungs.tolist()))):
-            if length > 1:
-                group = self.counts[feet[(diff == d) & (rungs == length)]]
-                ladder = group + np.arange(length)[:, None, None] * step
-                plan.append((d, _frozen(self.indices(ladder).reshape(length, len(group)))))
+        order = np.lexsort((rungs, diff))  # stable, so each group keeps its feet in row order
+        order = order[rungs[order] > 1]
+        feet, diff, rungs = feet[order], diff[order], rungs[order]
+        # the groups of equal (difference, length), and their ladder states, each group's rung by rung, in
+        # one array, so that one lookup ranks them all
+        start = np.flatnonzero(np.diff(diff, prepend=-1) | np.diff(rungs, prepend=-1))
+        size = np.diff(start, append=len(feet))
+        length, end = rungs[start], np.cumsum(rungs[start] * size)
+        group = np.repeat(np.arange(len(start)), length * size)
+        rung, column = np.divmod(np.arange(len(group)) - (end - length * size)[group], size[group])
+        states = self.counts[feet[start[group] + column]]
+        states[:, a] += rung
+        states[:, b] += rung
+        found = self.indices(states)
+        plan = self._plans[key] = [
+            (d, _frozen(found[stop - n * count : stop].reshape(n, count)))
+            for d, n, count, stop in zip(diff[start].tolist(), length.tolist(), size.tolist(), end.tolist())
+        ]
         return plan
 
     def _number_blocks(self, lo: int, hi: int) -> list[tuple[int, np.ndarray]]:
@@ -301,8 +334,23 @@ class FockSpace:
             self._plans[key] = _frozen(self.counts.astype(np.float64))
         return self._plans[key]
 
+    def _sectors(self) -> np.ndarray:
+        """A label per state: twice the position of its difference sector in the space plus
+        one within two photons of the cap.  An unrestricted space counts as a single sector."""
+        key = ("sector",)
+        if key not in self._plans:
+            labels = (self.totals > self.photon_cap - 2).astype(np.int16)
+            if self._deltas is not None:
+                n_s = self.n_s_paths
+                delta = self.counts[:, :n_s].sum(axis=1) - self.counts[:, n_s:].sum(axis=1)
+                labels += 2 * np.searchsorted(self._deltas, delta).astype(np.int16)
+            self._plans[key] = _frozen(labels)
+        return self._plans[key]
 
-def enumerate_basis(n_s_paths: int, n_i_paths: int, photon_cap: int, delta: int | None = None) -> FockSpace:
+
+def enumerate_basis(
+    n_s_paths: int, n_i_paths: int, photon_cap: int, delta: int | tuple[int, ...] | None = None
+) -> FockSpace:
     """Build a new truncated basis on every call; see :class:`FockSpace`.
 
     Deliberately uncached, so the caller owns the result; the evolution
@@ -316,9 +364,12 @@ SECTOR_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=SECTOR_CACHE_SIZE)
-def sector_space(n_s_paths: int, n_i_paths: int, photon_cap: int, delta: int | None, /) -> FockSpace:
+def sector_space(n_s_paths: int, n_i_paths: int, photon_cap: int, delta: int | tuple[int, ...] | None, /) -> FockSpace:
     """Shared read-only :class:`FockSpace`, built once per (paths, cap, delta).
 
+    ``delta`` is one difference sector or a tuple of them, whose union the
+    space then holds in lexicographic order; :func:`postselection_amplitudes`
+    asks for the increasing tuple of the sectors it evolves as one block.
     The space and the plans it accumulates are shared by every later caller
     with the same key, so none of its arrays may be written.  A request over
     the size limit raises before anything is built or cached.  The arguments
@@ -352,8 +403,10 @@ def auto_photon_cap(requested_photons: int, total_gain: float) -> int:
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
-#: ladder decompositions kept by :func:`_ladder_modes`: criterion 05's portfolio
+#: ladder decompositions :func:`_ladder_modes` keeps across calls: criterion 05's portfolio
 #: builds 324 distinct (difference, length) keys, and each dense ``eigh`` is O(length^3).
+#: Within one call :class:`_Operators` holds every key the call uses, so a call that needs
+#: more keys than this still decomposes each only once.
 LADDER_CACHE_SIZE = 512
 
 
@@ -378,20 +431,25 @@ def _ladder_modes(diff: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(values), _frozen(vectors)
 
 
-def _apply_ladders(block: np.ndarray, idx: np.ndarray, diff: int, r: float) -> None:
+def _apply_ladders(block: np.ndarray, idx: np.ndarray, diff: int, r: float, operators: _Operators) -> None:
     """block[idx] <- exp[r(a+_s a+_i - a_s a_i)] block[idx] on every ladder (column) of ``idx``.
 
     On a ladder the generator J is real antisymmetric tridiagonal with
     J[j, j-1] = -J[j-1, j] = S[j, j-1]; with D = diag(i^j), D^-1 J D = -i S,
     so exp(rJ) = D Q exp(-i r Lambda) Q^T D^-1 for S = Q Lambda Q^T.  The real Q
-    acts on the real and imaginary parts in one real matrix product.
+    acts on the real and imaginary parts in one real matrix product.  The
+    decomposition comes from ``operators``.
     """
-    values, vectors = _ladder_modes(diff, len(idx))
+    values, vectors = operators.ladder(diff, len(idx))
     turns = _QUARTER_TURNS[np.arange(len(idx)) % 4, None]
-    rows = block[idx]
-    modes = vectors.T @ (rows.reshape(len(idx), -1) * turns.conj()).view(np.float64)
-    modes = modes.view(np.complex128) * np.exp(-1j * r * values)[:, None]
-    block[idx] = ((vectors @ modes.view(np.float64)).view(np.complex128) * turns).reshape(rows.shape)
+    rows = block[idx].reshape(len(idx), -1)  # a gathered copy, reused in place below
+    rows *= turns.conj()
+    modes = vectors.T @ rows.view(np.float64)
+    phased = modes.view(np.complex128)
+    phased *= np.exp(-1j * r * values)[:, None]
+    np.matmul(vectors, modes, out=rows.view(np.float64))
+    rows *= turns
+    block[idx] = rows.reshape(idx.shape + block.shape[1:])
 
 
 @lru_cache(maxsize=512)
@@ -405,16 +463,17 @@ def _photon_plan(n_modes: int, photons: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(rank), _frozen(np.sqrt(patterns))
 
 
-def _lifted_blocks(unitary: np.ndarray, top: int) -> list[np.ndarray]:
+def _lifted_blocks(unitary: np.ndarray, top: int, blocks: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """Blocks B_k[p, q] = <p| U |q> of the lifted ``unitary``, k = 0..top, patterns of :func:`_compositions`.
 
     U a+_j U^-1 = sum_i U_ij a+_i adds a photon on each side; averaged over the k photons of q,
     B_k[p, q] = (1/k) sum_ij sqrt(p_i q_j) U_ij B_{k-1}[p - e_i, q - e_j].  The average keeps
     the blocks unitary to roundoff at large k, where peeling a fixed photon of q loses digits.
+    Given ``blocks``, the first of them for this unitary, that list is extended in place.
     """
     n_modes = len(unitary)
-    blocks = [np.ones((1, 1), dtype=np.complex128)]
-    for k in range(1, top + 1):
+    blocks = [np.ones((1, 1), dtype=np.complex128)] if blocks is None else blocks
+    for k in range(len(blocks), top + 1):
         rank, root = _photon_plan(n_modes, k)
         prev = np.zeros((len(blocks[-1]) + 1,) * 2, dtype=np.complex128)
         prev[:-1, :-1] = blocks[-1]  # the zero row and column are the sentinel
@@ -431,12 +490,47 @@ def _apply_block(block: np.ndarray, idx: np.ndarray, matrix: np.ndarray) -> None
     block[idx] = (matrix @ rows.reshape(len(idx), -1)).reshape(rows.shape)
 
 
-def _apply_unitary(space: FockSpace, lo: int, hi: int, matrix: np.ndarray, block: np.ndarray, top=math.inf) -> None:
+class _Operators:
+    """The operators of one call, each built once however many blocks the call evolves.
+
+    Ladder decompositions are held by (difference, length); they come from
+    :func:`_ladder_modes`, whose cache carries them across calls but would evict
+    them cyclically within a call that needs more keys than it holds.  The
+    lifted blocks of each network are extended to the most photons any block
+    asks of it.
+    """
+
+    def __init__(self) -> None:
+        self._ladders: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._lifted: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}  # by id, the unitary kept alive
+
+    def ladder(self, diff: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+        if (diff, length) not in self._ladders:
+            self._ladders[diff, length] = _ladder_modes(diff, length)
+        return self._ladders[diff, length]
+
+    def lifted(self, unitary: np.ndarray, top: int) -> list[np.ndarray]:
+        held = self._lifted.get(id(unitary))
+        blocks = _lifted_blocks(unitary, top, None if held is None else held[1])
+        self._lifted[id(unitary)] = (unitary, blocks)
+        return blocks
+
+
+def _apply_unitary(
+    space: FockSpace, lo: int, hi: int, matrix: np.ndarray, block: np.ndarray, operators: _Operators, top=math.inf
+) -> None:
     """Lifted action of the unitary ``matrix`` on the modes ``lo:hi``; may skip rows of over ``top`` photons there."""
     plan = [(photons, idx) for photons, idx in space._number_blocks(lo, hi) if photons <= top]
-    blocks = _lifted_blocks(matrix, plan[-1][0] if plan else 0)
+    blocks = operators.lifted(matrix, plan[-1][0] if plan else 0)
     for photons, idx in plan:
         _apply_block(block, idx, blocks[photons])
+
+
+def _weights(labels: np.ndarray, count: int, block: np.ndarray) -> np.ndarray:
+    """The weight |block|^2 of every column of ``block`` on the states of each label 0..count - 1."""
+    rows = (labels == np.arange(count, dtype=labels.dtype)[:, None]).astype(np.float64)
+    parts = block.view(np.float64)  # real and imaginary parts side by side
+    return (rows @ np.square(parts)).reshape(count, -1, 2).sum(axis=2)
 
 
 def _phases(counts: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -468,6 +562,8 @@ def apply_circuit(
     space: FockSpace,
     block: np.ndarray,
     leak_tol: float | None = DEFAULT_LEAK_TOL,
+    *,
+    operators: _Operators | None = None,
 ) -> np.ndarray:
     """Apply the full nonlinear operator of ``circuit`` to a block of columns.
 
@@ -475,17 +571,21 @@ def apply_circuit(
     docstring), so only the requested columns are ever formed.  A run of
     consecutive diagonal networks, signal and idler alike, acts as one phase
     per state from its summed angles: diagonal operators commute, so the run
-    breaks only at a pair source or a network that mixes paths.
+    breaks only at a pair source or a network that mixes paths.  Operators
+    come from ``operators``, which a caller evolving several blocks shares
+    between them, or else from a new :class:`_Operators`.
 
-    Truncation is guarded two ways when ``leak_tol`` is set: the column
-    norm defect (catches numerical breakdown; every block is unitary, so
-    exact arithmetic preserves norms) and, for circuits containing pair
-    production, the final weight within two photons of the cap (an
-    unconvergence flag: a cap that clips the state leaves order-one weight
-    there, a converged one leaves only the exponential tail).  A defect
-    above ``leak_tol`` raises :class:`TruncationLeakError`.  The guard is a
-    necessary condition, not an error bound; quoted accuracies come from
-    higher-cap reruns.
+    Truncation is guarded two ways when ``leak_tol`` is set, on each
+    difference sector of each column apart, since a column of a space of
+    several sectors holds one state per sector that never mixes with the
+    others: the norm defect (catches numerical breakdown; every block is
+    unitary, so exact arithmetic preserves norms) and, for circuits
+    containing pair production, the final weight within two photons of the
+    cap (an unconvergence flag: a cap that clips the state leaves order-one
+    weight there, a converged one leaves only the exponential tail).  A
+    defect above ``leak_tol`` raises :class:`TruncationLeakError`.  The
+    guard is a necessary condition, not an error bound; quoted accuracies
+    come from higher-cap reruns.
     """
     from . import ptr  # local import: ptr depends on scatter only
 
@@ -495,8 +595,11 @@ def apply_circuit(
     squeeze = block.ndim == 1
     if squeeze:
         block = block[:, None]
+    operators = _Operators() if operators is None else operators
     if leak_tol is not None:
-        norms_in = np.linalg.norm(block, axis=0)
+        labels = space._sectors()  # even: a sector's states below the band near the cap; odd: in it
+        count = 2 * (1 if space._deltas is None else len(space._deltas))
+        weights_in = _weights(labels, count, block)
     n_s, n_modes = space.n_s_paths, space.counts.shape[1]
     for diagonal, run in itertools.groupby(
         circuit.elements, key=lambda element: not isinstance(element, ptr.Pdc) and element.angles is not None
@@ -507,18 +610,16 @@ def apply_circuit(
         for element in run:
             if isinstance(element, ptr.Pdc):
                 for diff, idx in space._ladders(element.s_path, element.i_path):
-                    _apply_ladders(block, idx, diff, element.r)
+                    _apply_ladders(block, idx, diff, element.r, operators)
             else:
-                _apply_unitary(space, *_side_modes(element.side, n_s, n_modes), element.matrix, block)
+                _apply_unitary(space, *_side_modes(element.side, n_s, n_modes), element.matrix, block, operators)
     if leak_tol is not None:
-        norms_out = np.linalg.norm(block, axis=0)
-        defect = float(np.max(np.abs(norms_out - norms_in) / np.maximum(norms_in, 1e-300)))
+        weights = _weights(labels, count, block)
+        norms_in, norms_out = (np.sqrt(w[0::2] + w[1::2]) for w in (weights_in, weights))
+        defect = float(np.max(np.abs(norms_out - norms_in) / np.maximum(norms_in, 1e-300), initial=0.0))
         if circuit.pdc_count:
-            band = space.totals > space.photon_cap - 2
-            if np.any(band):
-                band_weight = np.sum(np.abs(block[band, :]) ** 2, axis=0)
-                fractions = band_weight / np.maximum(norms_out**2, 1e-300)
-                defect = max(defect, float(np.max(fractions)))
+            fractions = weights[1::2] / np.maximum(norms_out**2, 1e-300)
+            defect = max(defect, float(np.max(fractions, initial=0.0)))
         if defect > leak_tol:
             raise TruncationLeakError(
                 f"truncation leak estimate {defect:.3e} exceeds tolerance {leak_tol:.1e};"
@@ -590,20 +691,42 @@ def _side_layers(elements, n_s: int, rows: np.ndarray) -> list[tuple[int, int, n
     return layers
 
 
+def _width_groups(n_s: int, n_i: int, cap: int, deltas: list[int], widths: list[int]) -> list[tuple[int, list[int]]]:
+    """(width, positions in ``deltas``) per group: the sectors of each width, in increasing order, packed
+    into groups of at most ``DIM_LIMIT`` states.  A sector over the limit alone is a group of one, which
+    raises once its space is asked for."""
+    groups: list[tuple[int, list[int]]] = []
+    for width, delta, position in sorted(zip(widths, deltas, range(len(deltas)))):
+        dimension = _sector_dimension(n_s, n_i, cap, delta)
+        if not groups or groups[-1][0] != width or states + dimension > DIM_LIMIT:
+            groups.append((width, []))
+            states = 0
+        groups[-1][1].append(position)
+        states += dimension
+    return groups
+
+
 def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_tol: float | None) -> np.ndarray:
     """<occupations[b]| U |occupations[a]> for every index pair (a, b) of ``pairs``, by brute force.
 
     ``occupations`` holds count rows, signal paths first; each row is ranked
     once.  A pair whose photon differences disagree reads exactly zero.
-    Every other pair is read from one :func:`apply_circuit` per difference
-    sector on :func:`sector_space`, whose columns are that sector's distinct
-    inputs in lexicographic order.  That call evolves the circuit from its first
-    pair source to its last; the one-sided networks around them, merged per
-    side, act only on the photon numbers the queried rows hold.  A side whose
-    networks there are all diagonal only rephases a row: its angles, summed, give
-    each pair the phase exp(i counts . angles) of its input row (before the first
-    source) or output row (after the last), computed once per call.  Counts that
-    are not integers, or negative, or above the cap, and pair indices that are
+    Every other pair is read from an evolved block.  A sector's width is the
+    number of distinct inputs its pairs hold; the sectors of one width
+    evolve together in one :func:`apply_circuit` call on the
+    :func:`sector_space` of their union, whose column j starts on every
+    such sector's j-th input in lexicographic order.  Sectors never mix, so
+    no column is padded and no state is evolved twice; a width whose union
+    would pass ``DIM_LIMIT`` is split over several calls.  All calls share
+    one :class:`_Operators`, so each ladder decomposition and lifted block
+    is built at most once per call of this function.  Each evolution runs
+    the circuit from its first pair source to its last; the one-sided
+    networks around them, merged per side, act only on the photon numbers
+    the queried rows hold.  A side whose networks there are all diagonal
+    only rephases a row: its angles, summed, give each pair the phase
+    exp(i counts . angles) of its input row (before the first source) or
+    output row (after the last), computed once per call.  Counts that are
+    not integers, or negative, or above the cap, and pair indices that are
     not integers or fall outside ``occupations`` raise ``ValueError``.
     """
     from . import ptr  # local import: ptr depends on scatter only
@@ -631,23 +754,33 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
             rephased.append(_phases(counts, angles)[rows])
         outer.append(_side_layers([element for element in networks if element.side in mixing], n_s, counts[rows]))
     head, tail = outer
-    d_in = differences[pairs[:, 0]]
-    same = d_in == differences[pairs[:, 1]]
+    members = np.flatnonzero(differences[pairs[:, 0]] == differences[pairs[:, 1]])
+    ins, outs = pairs[members].T
+    # the distinct inputs in lexicographic order (ranks increase with it), then each one's sector and column
+    _, first, which = np.unique(codes[ins], return_index=True, return_inverse=True)
+    deltas, sector, widths = np.unique(differences[ins[first]], return_inverse=True, return_counts=True)
+    order = np.argsort(sector, kind="stable")  # sector by sector, lexicographic within each
+    column = np.empty(len(first), dtype=np.int64)
+    column[order] = np.arange(len(first)) - np.repeat(np.cumsum(widths) - widths, widths)
+    groups = _width_groups(n_s, circuit.n_i_paths, photon_cap, deltas.tolist(), widths.tolist())
+    label = np.empty(len(deltas), dtype=np.int64)
+    for g, (_, positions) in enumerate(groups):
+        label[positions] = g
+    label = label[sector]  # the group of each distinct input
+    operators = _Operators()
     amplitudes = np.zeros(len(pairs), dtype=np.complex128)
-    for delta in np.unique(d_in[same]).tolist():
-        members = np.flatnonzero(same & (d_in == delta))
-        ins, outs = pairs[members].T
-        # ranks increase with lexicographic order, so the columns are the inputs in that order
-        inputs, first, cols = np.unique(codes[ins], return_index=True, return_inverse=True)
-        space = sector_space(n_s, circuit.n_i_paths, photon_cap, delta)
-        block = np.zeros((space.dimension, len(inputs)), dtype=np.complex128)
-        block[space._ranked_rows(codes, ins[first], counts), np.arange(len(inputs))] = 1.0
+    for g, (width, positions) in enumerate(groups):
+        space = sector_space(n_s, circuit.n_i_paths, photon_cap, tuple(deltas[positions].tolist()))
+        chosen = label == g
+        block = np.zeros((space.dimension, width), dtype=np.complex128)
+        block[space._ranked_rows(codes, ins[first[chosen]], counts), column[chosen]] = 1.0
         for lo, hi, unitary, top in head:
-            _apply_unitary(space, lo, hi, unitary, block, top)
-        evolved = apply_circuit(core, space, block, leak_tol=leak_tol)
+            _apply_unitary(space, lo, hi, unitary, block, operators, top)
+        evolved = apply_circuit(core, space, block, leak_tol=leak_tol, operators=operators)
         for lo, hi, unitary, top in tail:
-            _apply_unitary(space, lo, hi, unitary, evolved, top)
-        amplitudes[members] = evolved[space._ranked_rows(codes, outs, counts), cols]
+            _apply_unitary(space, lo, hi, unitary, evolved, operators, top)
+        read = np.flatnonzero(chosen[which])
+        amplitudes[members[read]] = evolved[space._ranked_rows(codes, outs[read], counts), column[which[read]]]
     for phases in rephased:
         amplitudes *= phases
     return amplitudes

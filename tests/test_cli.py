@@ -183,6 +183,17 @@ def test_amp_command_passes_within_default_tolerance(circuit_file, capsys):
     assert "relative residual" in payload
 
 
+@pytest.mark.parametrize("cutoff", [None, 40])
+def test_amp_command_reports_its_photon_cap(circuit_file, capsys, cutoff):
+    """The automatic cap when no --cutoff is given, else the one asked for."""
+    flags = [] if cutoff is None else ["--cutoff", str(cutoff)]
+    argv = ["amp", "--circuit", circuit_file, "--input", "1,0;1,0", "--output", "0,1;0,1", "--json", *flags]
+    assert cli.main(argv) == 0
+    circuit = cli._load_circuit(circuit_file)
+    expected = fock.auto_photon_cap(2, circuit.total_gain) if cutoff is None else cutoff
+    assert json.loads(capsys.readouterr().out)["photon_cap"] == expected
+
+
 def test_amp_command_reads_a_roundoff_scale_pair_as_agreeing(tmp_path, capsys):
     # |a| = 4.3e-15 on both arms: below linamp.ATOL, so residual zero, as verify reads it
     path = tmp_path / "weak.json"
@@ -414,7 +425,13 @@ def test_awp_cutoff_raises_the_cap_the_leak_guard_asks_for(capsys):
     assert cli.main(["awp", "--gain", "0.6"]) == 3
     assert "raise the photon cap" in capsys.readouterr().err
     assert cli.main(["awp", "--gain", "0.6", "--cutoff", "30", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["identity_residual"] < 1e-12
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["identity_residual"] < 1e-12 and payload["photon_cap"] == 30
+
+
+def test_awp_command_reports_its_default_photon_cap(capsys):
+    assert cli.main(["awp", "--gain", "0.05", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["photon_cap"] == harness.AWP_PHOTON_CAP
 
 
 @pytest.mark.parametrize("cutoff", ["3", "-1"])

@@ -282,25 +282,60 @@ def test_outer_layers_on_queried_photon_numbers_match_whole_circuit(case):
     assert np.count_nonzero(expected) and np.max(np.abs(got - expected)) <= 1e-13
 
 
+def test_a_width_whose_union_passes_the_size_limit_is_split(monkeypatch):
+    """With DIM_LIMIT between the largest sector and a width's union, the width evolves in several calls."""
+    circuit, cap = harness.random_circuit(1010, 2, 2, 1, 0.6), 16
+    rows = fock.occupations_upto(4, 4)
+    pairs = [(a, b) for a in range(len(rows)) for b in range(len(rows))]
+    evolve, spaces = fock.apply_circuit, []
+
+    def spy(circuit, space, *args, **kwargs):
+        spaces.append(space)
+        return evolve(circuit, space, *args, **kwargs)
+
+    monkeypatch.setattr(fock, "apply_circuit", spy)
+    expected = fock.postselection_amplitudes(circuit, rows, pairs, cap, fock.DEFAULT_LEAK_TOL)
+    grouped, spaces[:] = list(spaces), []
+    largest = max(fock._sector_dimension(2, 2, cap, delta) for delta in range(-4, 5))
+    assert max(space.dimension for space in grouped) > largest
+    monkeypatch.setattr(fock, "DIM_LIMIT", largest)
+    got = fock.postselection_amplitudes(circuit, rows, pairs, cap, fock.DEFAULT_LEAK_TOL)
+    assert len(spaces) > len(grouped) and max(space.dimension for space in spaces) <= largest
+    assert sorted(delta for space in spaces for delta in space.delta) == list(range(-4, 5))
+    assert np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected))) <= 1e-14
+
+
 def test_verify_evolves_each_sector_once_with_its_distinct_inputs_as_columns(monkeypatch):
-    """The benchmark counts apply_circuit calls, columns and sector dimension times columns."""
+    """The benchmark counts apply_circuit calls, columns and space dimension times columns.
+
+    The sectors of one width (number of distinct inputs) share one call on the space of their union,
+    column j holding each one's j-th input, so no column is padded and no state is evolved twice.
+    """
     evolve, calls = fock.apply_circuit, []
 
-    def spy(circuit, space, block, leak_tol=fock.DEFAULT_LEAK_TOL):
+    def spy(circuit, space, block, leak_tol=fock.DEFAULT_LEAK_TOL, **operators):
         calls.append((space, np.array(block)))
-        return evolve(circuit, space, block, leak_tol=leak_tol)
+        return evolve(circuit, space, block, leak_tol=leak_tol, **operators)
 
     monkeypatch.setattr(fock, "apply_circuit", spy)
     circuit, cap = harness.random_circuit(1010, 2, 2, 1, 0.6), 32  # a criterion-05 circuit
     report = linamp.verify_duality(circuit, photon_budget=4, photon_cap=cap)
     inputs = report.occupations[np.unique(report.comparisons[:, 0])]  # lexicographic, as the rows are
     deltas = inputs[:, :2].sum(axis=1) - inputs[:, 2:].sum(axis=1)
-    assert [space.delta for space, _ in calls] == sorted(set(deltas.tolist()))
+    widths = dict(zip(*(values.tolist() for values in np.unique(deltas, return_counts=True))))
+    assert sorted(block.shape[1] for _, block in calls) == sorted(set(widths.values()))  # one call per width
+    assert sorted(delta for space, _ in calls for delta in space.delta) == sorted(widths)  # each sector once
+    assert sum(space.dimension * block.shape[1] for space, block in calls) == sum(
+        fock._sector_dimension(2, 2, cap, delta) * width for delta, width in widths.items()
+    )
     for space, block in calls:
         assert space is fock.sector_space(2, 2, cap, space.delta)
-        assert block.shape == (space.dimension, np.count_nonzero(deltas == space.delta))
-        # column j starts on the number block of the j-th input, in lexicographic order
+        assert block.shape[0] == space.dimension
         signal = space.counts[:, :2].sum(axis=1)
-        for column, row in zip(block.T, inputs[deltas == space.delta]):
-            assert np.isclose(np.linalg.norm(column), 1.0)
-            assert np.all(column[signal != row[:2].sum()] == 0)
+        for delta in space.delta:
+            assert widths[delta] == block.shape[1]
+            rows = signal - space.counts[:, 2:].sum(axis=1) == delta
+            # column j starts on the number block of the sector's j-th input, in lexicographic order
+            for column, row in zip(block[rows].T, inputs[deltas == delta]):
+                assert np.isclose(np.linalg.norm(column), 1.0)
+                assert np.all(column[signal[rows] != row[:2].sum()] == 0)

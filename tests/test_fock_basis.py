@@ -49,6 +49,16 @@ def test_delta_sectors_partition_the_full_space(n_s, n_i, cap):
     assert seen == set(map(tuple, full.counts.tolist()))
 
 
+@pytest.mark.parametrize("deltas", [(-1, 1), (-2, 0, 3)])
+def test_a_union_of_sectors_holds_their_rows_in_lexicographic_order(deltas):
+    union = fock.FockSpace(2, 2, 6, delta=deltas)
+    rows = np.concatenate([fock.FockSpace(2, 2, 6, delta=delta).counts for delta in deltas])
+    assert union.dimension == len(rows)
+    assert union.counts.tolist() == sorted(rows.tolist())
+    assert union.indices(union.counts).tolist() == list(range(union.dimension))
+    assert np.all(union.indices(fock.FockSpace(2, 2, 6, delta=2).counts) == -1)  # a sector not in the union
+
+
 def test_index_round_trips_and_contains():
     space = fock.FockSpace(2, 1, 4, delta=1)
     assert space.indices(space.counts).tolist() == list(range(space.dimension))

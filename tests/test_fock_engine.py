@@ -102,7 +102,7 @@ def test_engine_matches_oracle_where_ladders_are_cut(circuit, cap, delta):
 def ladder_block(diff: int, length: int, r: float) -> np.ndarray:
     """The engine's pair-source block on one ladder, applied to the identity."""
     block = np.eye(length, dtype=np.complex128)
-    fock._apply_ladders(block, np.arange(length)[:, None], diff, r)
+    fock._apply_ladders(block, np.arange(length)[:, None], diff, r, fock._Operators())
     return block
 
 
@@ -138,7 +138,7 @@ def test_ladder_block_acts_on_every_ladder_and_column():
     idx = rng.permutation(60)[:45].reshape(9, 5)  # 5 ladders of 9 rungs, scattered rows
     expected = block.copy()
     expected[idx] = np.einsum("jk,kgc->jgc", oracles.ladder_exp(3, 9, 1.2), block[idx])
-    fock._apply_ladders(block, idx, 3, 1.2)
+    fock._apply_ladders(block, idx, 3, 1.2, fock._Operators())
     assert np.max(np.abs(block - expected)) <= 1e-13
 
 
@@ -218,6 +218,28 @@ def test_leak_guard_regression():
     adequate = fock.FockSpace(2, 1, 20, delta=0)
     out = fock.apply_circuit(circuit, adequate, oracles.one_hot(adequate, [(0, 0, 0)]), leak_tol=1e-3)
     assert np.isclose(np.linalg.norm(out), 1.0, atol=1e-13)
+
+
+def test_leak_guard_reads_each_sector_of_a_grouped_call_apart():
+    """Sectors evolved in one block raise exactly when one of them would raise alone, so a clipped sector
+    is never diluted by the converged ones that share its columns."""
+    circuit = Circuit(2, 1, (Pdc(0, 0, 0.7), LinearS(haar(2, 9)), Pdc(1, 0, 0.5)))
+    rows = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 0, 2), (1, 1, 0)]
+    pairs = [(a, a) for a in range(len(rows))]  # sectors -2, -1 and 0 hold one input each, 1 and 2 two each
+
+    def raises(pairs, cap):
+        try:
+            fock.postselection_amplitudes(circuit, rows, pairs, cap, 1e-3)
+        except TruncationLeakError:
+            return True
+        return False
+
+    fired = []
+    for cap in (6, 8, 11, 12, 14, 20):
+        fired.append([raises([pair], cap) for pair in pairs])
+        assert raises(pairs, cap) == any(fired[-1]), cap
+    assert all(fired[0]) and not any(fired[-1])
+    assert any(sum(alone) == 2 for alone in fired)  # at cap 12 only the two-photon idler and signal pairs
 
 
 @pytest.mark.parametrize("pair", [(0, 0), (1, 2)], ids=["vacuum", "one_signal_photon"])

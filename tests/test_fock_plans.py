@@ -34,28 +34,37 @@ def test_cold_and_warm_verification_are_bitwise_identical():
     for name in ("occupations", "comparisons", "nonlinear", "dual", "abs_residual", "rel_residual"):
         assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
     assert cold.max_rel_residual < 1e-10
-    # each sector of the report was evolved on its own space
+    # a key of one delta still gives that sector's own space
     for delta in range(-3, 4):
         assert fock.sector_space(2, 1, 40, delta).delta == delta
 
 
-def test_cached_space_and_plans_are_read_only():
+def test_cached_space_and_plans_are_read_only(monkeypatch):
+    evolve, spaces = fock.apply_circuit, []
+
+    def spy(circuit, space, *args, **kwargs):
+        spaces.append(space)
+        return evolve(circuit, space, *args, **kwargs)
+
+    monkeypatch.setattr(fock, "apply_circuit", spy)
     linamp.verify_duality(two_source_circuit(), photon_budget=2, photon_cap=30)
-    space = fock.sector_space(2, 1, 30, 0)
-    kinds = {key[0] for key in space._plans}
-    assert kinds == {"pdc", "number", "occupation"}
-    for array in plan_arrays(space):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array.flat[0] = 1
+    assert spaces
+    for space in spaces:  # the spaces the sectors were evolved on
+        assert space is fock.sector_space(2, 1, 30, space.delta)
+        kinds = {key[0] for key in space._plans}
+        assert kinds == {"pdc", "number", "occupation"}
+        for array in plan_arrays(space):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 1
 
 
 def test_over_limit_requests_raise_before_anything_is_built(monkeypatch):
     # 4+4 paths at cap 40 hold 1.1e7 states in the delta = 0 sector alone
     assert fock._sector_dimension(4, 4, 40, 0) > fock.DIM_LIMIT
     linamp.verify_duality(two_source_circuit(), photon_budget=2, photon_cap=30)
-    cached = fock.sector_space.cache_info().currsize
     kept = fock.sector_space(2, 1, 30, 0)
+    cached = fock.sector_space.cache_info().currsize
 
     def refuse_to_build(*args):
         raise AssertionError("a basis was built")

@@ -78,8 +78,8 @@ def beta_conjugated(build_ptr):
 def gain_negated(apply_ladders):
     """Every pair source of the brute arm run at gain -r."""
 
-    def patched(block, idx, diff, r):
-        return apply_ladders(block, idx, diff, -r)
+    def patched(block, idx, diff, r, operators):
+        return apply_ladders(block, idx, diff, -r, operators)
 
     return patched
 
