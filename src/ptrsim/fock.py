@@ -564,6 +564,7 @@ def apply_circuit(
     leak_tol: float | None = DEFAULT_LEAK_TOL,
     *,
     operators: _Operators | None = None,
+    overwrite: bool = False,
 ) -> np.ndarray:
     """Apply the full nonlinear operator of ``circuit`` to a block of columns.
 
@@ -573,7 +574,11 @@ def apply_circuit(
     per state from its summed angles: diagonal operators commute, so the run
     breaks only at a pair source or a network that mixes paths.  Operators
     come from ``operators``, which a caller evolving several blocks shares
-    between them, or else from a new :class:`_Operators`.
+    between them, or else from a new :class:`_Operators`.  The block is
+    evolved in a private copy unless ``overwrite`` is set and it is already
+    a complex128 array, which is then evolved in place and returned: a
+    caller that built the block for this call and never reads it again
+    (:func:`postselection_amplitudes`) saves the copy and its memory.
 
     Truncation is guarded two ways when ``leak_tol`` is set, on each
     difference sector of each column apart, since a column of a space of
@@ -591,7 +596,7 @@ def apply_circuit(
 
     if circuit.n_s_paths != space.n_s_paths or circuit.n_i_paths != space.n_i_paths:
         raise ValueError("circuit and space disagree on path counts")
-    block = np.array(block, dtype=np.complex128)  # private copy, evolved in place
+    block = (np.asarray if overwrite else np.array)(block, dtype=np.complex128)  # evolved in place
     squeeze = block.ndim == 1
     if squeeze:
         block = block[:, None]
@@ -776,7 +781,7 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
         block[space._ranked_rows(codes, ins[first[chosen]], counts), column[chosen]] = 1.0
         for lo, hi, unitary, top in head:
             _apply_unitary(space, lo, hi, unitary, block, operators, top)
-        evolved = apply_circuit(core, space, block, leak_tol=leak_tol, operators=operators)
+        evolved = apply_circuit(core, space, block, leak_tol=leak_tol, operators=operators, overwrite=True)
         for lo, hi, unitary, top in tail:
             _apply_unitary(space, lo, hi, unitary, evolved, operators, top)
         read = np.flatnonzero(chosen[which])

@@ -4,19 +4,27 @@ Postselected Fock amplitudes of a linear network are permanents of the
 network's submatrix over the occupied modes, rows and columns repeated by
 their counts.  Ryser's formula is summed over the repeats, with each
 distinct row raised to the power of its multiplicity, so the dual arm
-never builds the repeated submatrix.  The amplitudes work on plain count
-tuples once :func:`_occupation_counts` has checked them.  Only the two
-single-pair entries here take the (signal counts, idler counts) pair form,
-which the dual arm's idler swap needs; everything else takes count rows.
-:func:`compare_amplitudes` pits those amplitudes, scaled by the
-normalization coefficient of the dual setup, against brute-force truncated
-Fock-space amplitudes of the nonlinear circuit from
-:func:`ptrsim.fock.postselection_amplitudes`; both the budget sweep
-:func:`verify_duality` and the single-pair ``ptrsim amp`` go through it.
+never builds the repeated submatrix.  Two kernels evaluate it.  The
+single-pair kernel (:func:`_repeated_permanent`) serves :func:`permanent`,
+:func:`linear_fock_amplitude`, :func:`ptr_postselection_amplitude` and
+:func:`four_photon_awp_amplitude`, on plain count tuples once
+:func:`_occupation_counts` has checked them; those callers ask for one
+amplitude at a time, where its small fixed cost wins.  The batched kernel
+:func:`dual_amplitudes` evaluates every index pair of a set of count rows
+in one numpy pass (a call of only a few pairs goes pair by pair through the
+single-pair kernel).  Only the two single-pair entries here take the
+(signal counts, idler counts) pair form, which the dual arm's idler swap
+needs; everything else takes count rows.  :func:`compare_amplitudes` pits
+the batched amplitudes, scaled by the normalization coefficient of the
+dual setup, against brute-force truncated Fock-space amplitudes of the
+nonlinear circuit from :func:`ptrsim.fock.postselection_amplitudes`; both
+the budget sweep :func:`verify_duality` and the single-pair ``ptrsim amp``
+go through it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -34,7 +42,20 @@ from .scatter import ScatteringMatrix
 MAX_PERMANENT_SIZE = 20
 #: Ryser terms evaluated per matmul; grids this small are also cached.
 RYSER_CHUNK = 1 << 10
+#: row-sum products per pass of :func:`dual_amplitudes`, which takes DUAL_CHUNK // modes^2 (pair, term)
+#: entries at a time, at least one: 8 MiB of products whatever the number of modes
+DUAL_CHUNK = 1 << 19
+#: calls of fewer pairs take the single-pair kernel pair by pair: the batched pass's few dozen numpy
+#: calls cost 55 us at one pair against 14 us, and 71 against 87 us at eight (2-vCPU x86-64 VM)
+_BATCH_MIN_PAIRS = 8
 _FACTORIALS = tuple(math.factorial(n) for n in range(MAX_PERMANENT_SIZE + 1))
+#: m + 1 at [0, m] and m! at [1, m]: the Ryser terms and the norm that m photons in one mode contribute.
+_COUNT_TABLE = np.array([[m + 1 for m in range(MAX_PERMANENT_SIZE + 1)], _FACTORIALS], dtype=float)
+#: (-1)^(m - k) C(m, k) at [m, k]: the Ryser weight of taking k of the m repeats of a summed column.
+_SIGNED_BINOMIALS = np.array(
+    [[(-1) ** (m - k) * math.comb(m, k) for k in range(MAX_PERMANENT_SIZE + 1)] for m in range(MAX_PERMANENT_SIZE + 1)],
+    dtype=float,
+)
 #: amplitude pairs whose magnitudes both fall below this count as residual zero.
 ATOL = 1e-12
 
@@ -79,7 +100,8 @@ def _repeated_permanent(distinct: np.ndarray, row_mult: tuple[int, ...], col_mul
     of a column repeated m times, in C(m, k) ways (Chin & Huh 2018), and a
     row repeated m times enters as its row sum to the power m.  The sum
     runs over the side with fewer prod(m + 1) terms (perm A = perm A^T), in
-    chunks of ``RYSER_CHUNK`` terms, each one matmul.
+    chunks of ``RYSER_CHUNK`` terms, each one matmul.  This is the
+    single-pair kernel; :func:`dual_amplitudes` evaluates many pairs at once.
     """
     row_terms, terms = _terms(row_mult), _terms(col_mult)
     if row_terms < terms:
@@ -169,11 +191,102 @@ def ptr_postselection_amplitude(setup: PtrSetup, input_occ, output_occ) -> compl
     the normalization coefficient scales the result.  Fock states have real
     coefficients, so no conjugation appears.  Photon differences that
     disagree leave the swapped rows with different totals, which read zero.
+
+    This is the single-pair kernel: one amplitude per call, as callers that
+    walk the outputs of a column one at a time ask for them.  A one-pair
+    :func:`dual_amplitudes` call agrees with it to roundoff but costs several
+    times more (about 55 against 12 us on a 2-vCPU x86-64 VM, numpy 2.4).
     """
     n_s, n_i = setup.scattering.n_s, setup.scattering.n_i
     s_in, i_in = _occupation_counts(input_occ, n_s, n_i)
     s_out, i_out = _occupation_counts(output_occ, n_s, n_i)
     return setup.nc * _counts_amplitude(setup.scattering.full, s_in + i_out, s_out + i_in)
+
+
+def dual_amplitudes(setup: PtrSetup, counts: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """:func:`ptr_postselection_amplitude` of every index pair (a, b) of ``pairs``, in one numpy pass.
+
+    ``counts`` holds int64 count rows, signal paths first, and ``pairs`` a
+    (P, 2) integer array of row indices, both as
+    :func:`fock.postselection_amplitudes` has checked them (this function
+    checks neither again); pair (a, b) takes row a in and row b out, with
+    their idler counts swapped.  Each pair sums Ryser's formula over the
+    side :func:`_repeated_permanent` would pick: the output side only if it
+    has strictly fewer prod(m + 1) terms.  All (pair, term) entries are laid
+    out flat, pairs summed over their input side first, and evaluated in
+    passes of ``DUAL_CHUNK // modes^2`` entries (at least one), so a large
+    call holds a bounded amount at a time.  An entry's digits k pick its
+    signed binomial weights from a table; its row sums are k times the
+    transposed dual matrix (input side summed) or the matrix (output side);
+    its term is the product over all modes of the row sums raised to the
+    other side's counts.  ``bincount`` adds the terms of each pair in entry
+    order, a pass carrying on the partial sum of a pair the last pass cut,
+    and the row sums are taken in mode order rather than by a matmul, whose
+    rounding of a row can depend on the rows next to it: the result does not
+    depend on ``DUAL_CHUNK``.  The sums are divided by the factorial norm
+    and scaled by ``nc``.  Pairs whose dual totals differ read exactly zero;
+    a pair of more than ``MAX_PERMANENT_SIZE`` photons raises
+    :class:`DimensionOverflowError` before any term is formed.
+
+    The pass makes a few dozen numpy calls whatever the number of pairs, so
+    a single pair costs several times what the single-pair kernel takes.
+    A call of fewer than ``_BATCH_MIN_PAIRS`` pairs (``ptrsim amp`` asks for
+    one) therefore takes that kernel pair by pair, with the same results as
+    :func:`ptr_postselection_amplitude`; callers that ask for one amplitude
+    at a time call the single-pair entries directly.
+    """
+    full, n_s = setup.scattering.full, setup.scattering.n_s
+    swapped = counts[pairs]  # (P, 2, modes): each pair's input and output rows
+    swapped[:, :, n_s:] = swapped[:, ::-1, n_s:]  # partial time reversal swaps the idler counts
+    if len(swapped) < _BATCH_MIN_PAIRS:
+        # the Python complex product, as ptr_postselection_amplitude takes it: numpy's may differ in the last bit
+        return np.array([setup.nc * _counts_amplitude(full, *rows) for rows in swapped.tolist()], dtype=np.complex128)
+    photons = swapped.sum(axis=2)
+    valid = photons[:, 0] == photons[:, 1]
+    if photons.max(initial=0) > MAX_PERMANENT_SIZE and (oversized := photons[valid, 0] > MAX_PERMANENT_SIZE).any():
+        size = photons[valid, 0][oversized][0]
+        raise DimensionOverflowError(f"permanent of size {size} exceeds {MAX_PERMANENT_SIZE}")
+    if not valid.all():
+        swapped[~valid] = 0  # no term is formed for these; zeroed, their counts index the tables safely
+    # arrays run over modes first from here, so a sum over modes is a few whole-array steps
+    per_side = _COUNT_TABLE[:, swapped.transpose(2, 0, 1)].prod(axis=1)  # (term count or norm, pair, side)
+    (in_terms, out_terms), (in_norm, out_norm) = per_side.transpose(0, 2, 1)
+    flip = out_terms < in_terms
+    order = np.argsort(flip, kind="stable")  # pairs summed over their input side first
+    n_in = len(order) - np.count_nonzero(flip)
+    swapped = swapped[order].transpose(1, 2, 0)  # (side, mode, pair)
+    swapped[:, :, n_in:] = swapped[::-1, :, n_in:]  # each pair as [summed side, power side]
+    bounds = np.zeros(len(order) + 1, dtype=np.int64)  # pair j holds entries bounds[j] .. bounds[j + 1] - 1
+    (np.minimum(in_terms, out_terms) * valid)[order].cumsum(dtype=np.int64, out=bounds[1:])
+    radices = swapped[0] + 1
+    per_pair = np.concatenate(((radices.cumprod(axis=0) // radices)[None], swapped))  # strides, grid, powers
+    sums = np.zeros(len(order), dtype=np.complex128)
+    edges, step = bounds.tolist(), max(1, DUAL_CHUNK // full.size)
+    for lo in range(0, edges[-1], step):
+        hi = min(lo + step, edges[-1])
+        first, last = bisect.bisect_right(edges, lo) - 1, bisect.bisect_left(edges, hi)  # pairs first..last-1
+        cut = np.minimum(np.maximum(bounds[first : last + 1], lo), hi)
+        pair = np.repeat(np.arange(first, last), cut[1:] - cut[:-1])
+        strides, grid, powers = per_pair[:, :, pair]
+        digits = (np.arange(lo, hi) - bounds[pair]) // strides % (grid + 1)
+        # a digit on mode m weighs row m of the transposed matrix (input side summed) or of the matrix
+        # (output side), summed in mode order whatever the chunk: a matmul may round an entry by its neighbours
+        row_sums = np.empty(digits.shape, dtype=np.complex128)
+        split = min(max(edges[n_in] - lo, 0), hi - lo)
+        for start, stop, matrix in ((0, split, full.T), (split, hi - lo, full)):
+            if start < stop:
+                row_sums[:, start:stop] = (digits[:, None, start:stop] * matrix[:, :, None]).sum(axis=0)
+        # a product over the modes of each entry, taken row by row: across rows numpy may associate it otherwise
+        terms = np.multiply.reduce(np.ascontiguousarray((row_sums**powers).T), axis=1)
+        values = terms * _SIGNED_BINOMIALS[grid, digits].prod(axis=0)
+        label = pair - first
+        if edges[first] < lo:  # the first pair began in an earlier chunk: carry its partial sum on
+            label, values = np.concatenate(([0], label)), np.concatenate((sums[first : first + 1], values))
+        sums.real[first:last] = np.bincount(label, values.real, last - first)
+        sums.imag[first:last] = np.bincount(label, values.imag, last - first)
+    amplitudes = np.empty(len(order), dtype=np.complex128)
+    amplitudes[order] = sums / np.sqrt((in_norm * out_norm)[order]) * setup.nc
+    return amplitudes
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,24 +343,18 @@ def compare_amplitudes(
     ``occupations`` holds count rows, signal paths first; pair (a, b) takes
     row a in and row b out.  The brute-force side comes from
     :func:`fock.postselection_amplitudes`, which checks the rows and pairs;
-    the dual side takes the same swapped-row permanents as
-    :func:`ptr_postselection_amplitude` on those rows, once per pair, with
-    no second check.  The cap defaults to :func:`fock.auto_photon_cap` of
+    the dual side from one :func:`dual_amplitudes` call on the checked rows,
+    with no second check.  The cap defaults to :func:`fock.auto_photon_cap` of
     the fullest row.  Amplitude pairs whose magnitudes both fall below
     ``ATOL`` count as residual zero; a NaN amplitude leaves a NaN residual.
     """
     if photon_cap is None:
-        photon_cap = fock.auto_photon_cap(max(map(sum, occupations), default=0), circuit.total_gain)
+        photon_cap = fock.auto_photon_cap(int(max(map(sum, occupations), default=0)), circuit.total_gain)
     nonlinear = fock.postselection_amplitudes(circuit, occupations, pairs, photon_cap, leak_tol)
     setup = ptr.build_ptr(circuit)
-    n_s = circuit.n_s_paths
-    counts = np.asarray(occupations, dtype=np.int64).reshape(len(occupations), n_s + circuit.n_i_paths)
+    counts = np.asarray(occupations, dtype=np.int64).reshape(len(occupations), circuit.n_s_paths + circuit.n_i_paths)
     comparisons = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
-    swapped = counts[comparisons]  # (P, 2, modes): each pair's input and output rows, checked above
-    swapped[:, :, n_s:] = swapped[:, ::-1, n_s:]  # partial time reversal swaps the idler counts
-    full, nc = setup.scattering.full, setup.nc
-    # the Python complex product, as ptr_postselection_amplitude takes it: numpy's may differ in the last bit
-    dual = np.array([nc * _counts_amplitude(full, *rows) for rows in swapped.tolist()], dtype=np.complex128)
+    dual = dual_amplitudes(setup, counts, comparisons)  # rows and pairs checked above
     abs_residual = np.abs(nonlinear - dual)
     scale = np.maximum(np.abs(nonlinear), np.abs(dual))  # NaN next to a NaN amplitude, so the residual stays NaN
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -284,15 +391,21 @@ def verify_duality(
         raise ValueError(f"sample count must be at least 1, got {sample_count}")
     if photon_cap is not None and photon_cap < photon_budget:
         raise ValueError(f"photon cap {photon_cap} is below the photon budget {photon_budget}")
-    n_s = circuit.n_s_paths
-    keys = fock.occupations_upto(n_s + circuit.n_i_paths, photon_budget)
-    differences = [sum(key[:n_s]) - sum(key[n_s:]) for key in keys]
-    pairs = [(a, b) for a, d_a in enumerate(differences) for b, d_b in enumerate(differences) if d_a == d_b]
+    keys, pairs = _budget_pairs(circuit.n_s_paths, circuit.n_i_paths, photon_budget)
     if sample_count is not None and sample_count < len(pairs):
         rng = np.random.default_rng(seed)
-        chosen = np.sort(rng.choice(len(pairs), size=sample_count, replace=False))
-        pairs = [pairs[int(k)] for k in chosen]
+        pairs = pairs[np.sort(rng.choice(len(pairs), size=sample_count, replace=False))]
     return compare_amplitudes(circuit, keys, pairs, photon_cap, leak_tol)
+
+
+@lru_cache(maxsize=8)
+def _budget_pairs(n_s: int, n_i: int, photon_budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Count rows of at most ``photon_budget`` photons, lexicographic, and every (a, b) index pair of
+    rows with equal photon differences, in row-major order.  Read-only and cached: a sweep verifies
+    many circuits of one shape at one budget."""
+    keys = fock._compositions(n_s + n_i + 1, photon_budget)[:, : n_s + n_i]  # the last mode takes the unused budget
+    differences = keys[:, :n_s].sum(axis=1) - keys[:, n_s:].sum(axis=1)
+    return fock._frozen(keys), fock._frozen(np.argwhere(differences[:, None] == differences[None, :]))
 
 
 def four_photon_awp_amplitude(setup: PtrSetup, s_pair: Sequence[int], i_pair: Sequence[int]) -> complex:

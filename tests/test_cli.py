@@ -308,7 +308,7 @@ def test_linear_algebra_failure_exits_3(circuit_file, capsys, monkeypatch):
 
 
 def test_amp_command_exits_3_on_a_nan_amplitude(circuit_file, capsys, monkeypatch):
-    monkeypatch.setattr(cli.linamp, "_counts_amplitude", lambda *args: complex(math.nan, 0.0))
+    monkeypatch.setattr(cli.linamp, "dual_amplitudes", lambda setup, counts, pairs: np.full(len(pairs), math.nan + 0j))
     code = cli.main(["amp", "--circuit", circuit_file, "--input", "1,0;1,0", "--output", "0,1;0,1"])
     assert code == 3
     assert "numerical failure: residual is nan" in capsys.readouterr().err

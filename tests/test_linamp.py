@@ -189,7 +189,7 @@ def test_linear_fock_amplitude_refuses_more_photons_than_the_permanent_limit():
         (10, (0, 2, 1, 0, 1, 0, 2, 0), (0, 6, 0, 0, 0, 0, 0, 0)),
     ],
 )
-def test_concentrated_output_is_summed_over_its_own_side(seed, swapped_in, swapped_out):
+def test_concentrated_output_is_summed_over_its_own_side(monkeypatch, seed, swapped_in, swapped_out):
     # Six photons in one output mode against a spread input: summing over the
     # input side (36 terms of sixth powers) cancels badly here, by 5.6e-9 and
     # 1.5e-10 relative; the output side needs 7 terms and stays at roundoff.
@@ -200,6 +200,9 @@ def test_concentrated_output_is_summed_over_its_own_side(seed, swapped_in, swapp
     sub = repeated_submatrix(setup.scattering.full, swapped_out, swapped_in)
     expected = oracles.permanent_ryser_mp(sub) / fock_norm(swapped_in, swapped_out)
     assert abs(got - expected) <= 1e-12 * abs(expected)
+    monkeypatch.setattr(linamp, "_BATCH_MIN_PAIRS", 1)  # the batched pass picks the same side
+    (batched,) = linamp.dual_amplitudes(setup, np.array([s_in + i_in, s_out + i_out]), np.array([[0, 1]])) / setup.nc
+    assert abs(batched - expected) <= 1e-12 * abs(expected)
 
 
 def test_hong_ou_mandel_coincidence_vanishes():
@@ -271,16 +274,15 @@ def test_duality_report_names_the_worst_pair_a_nan_first(residuals, worst):
 def test_duality_keeps_a_nan_dual_amplitude_next_to_a_zero_brute_one(monkeypatch):
     # signal path 1 is idle, so brute force gives exactly 0 for 1,0;0 -> 0,1;0;
     # max(|brute|, |dual|) drops the NaN and alone would read "both below atol"
-    # the dual side takes that pair as the swapped count rows 1,0,0 in and 0,1,0 out
-    broken = (1, 0, 0), (0, 1, 0)
-    dual = linamp._counts_amplitude
+    broken = [1, 0, 0], [0, 1, 0]
+    dual = linamp.dual_amplitudes
 
-    def nan_on_one_pair(matrix, in_counts, out_counts):
-        if (tuple(in_counts), tuple(out_counts)) == broken:
-            return complex(math.nan, 0.0)
-        return dual(matrix, in_counts, out_counts)
+    def nan_on_one_pair(setup, counts, pairs):
+        amplitudes = dual(setup, counts, pairs)
+        amplitudes[[(counts[a].tolist(), counts[b].tolist()) == broken for a, b in pairs]] = math.nan
+        return amplitudes
 
-    monkeypatch.setattr(linamp, "_counts_amplitude", nan_on_one_pair)
+    monkeypatch.setattr(linamp, "dual_amplitudes", nan_on_one_pair)
     report = linamp.verify_duality(Circuit(2, 1, (Pdc(0, 0, 0.3),)), photon_budget=1, photon_cap=8)
     rows = report.occupations.tolist()
     (hit,) = [k for k, (a, b) in enumerate(report.comparisons) if (rows[a], rows[b]) == ([1, 0, 0], [0, 1, 0])]
@@ -468,3 +470,99 @@ def test_every_occupation_form_is_refused_with_the_same_message(case):
                 call()
             messages.add(str(refused.value))
     assert len(messages) == 1
+
+
+#: criterion 05's circuits: (seed, signal paths, idler paths, sources, largest gain)
+CRITERION_05 = (
+    [(1000 + seed, 1, 1, 1 + seed % 3, 1.0) for seed in range(6)]
+    + [(1006 + seed, 2, 1, 1 + seed % 3, 0.8) for seed in range(4)]
+    + [(1010 + seed, 2, 2, 1 + seed % 3, 0.6) for seed in range(5)]
+    + [(1015 + seed, 3, 2, 2 + seed % 2, 0.5) for seed in range(3)]
+    + [(1018 + seed, 3, 3, 2 + seed % 2, 0.35) for seed in range(2)]
+)
+
+
+def single_pair_amplitudes(setup, counts, pairs) -> np.ndarray:
+    """ptr_postselection_amplitude of each index pair: the single-pair kernel the batched pass must match."""
+    n_s = setup.scattering.n_s
+    rows = [(tuple(row[:n_s]), tuple(row[n_s:])) for row in counts.tolist()]
+    return np.array([linamp.ptr_postselection_amplitude(setup, rows[a], rows[b]) for a, b in pairs.tolist()])
+
+
+@pytest.mark.parametrize("case", CRITERION_05 + [(7, 4, 4, 1, 0.06)], ids=lambda case: "seed%d-%d+%d" % case[:3])
+def test_dual_amplitudes_match_the_single_pair_kernel_on_every_budget_4_pair(case):
+    seed, n_s, n_i, n_pdc, max_r = case
+    setup = build_ptr(harness.random_circuit(seed, n_s, n_i, n_pdc, max_r))
+    counts, pairs = linamp._budget_pairs(n_s, n_i, 4)
+    got, expected = linamp.dual_amplitudes(setup, counts, pairs), single_pair_amplitudes(setup, counts, pairs)
+    assert np.all(np.abs(got - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+
+
+@pytest.mark.parametrize("batch_min_pairs", [1, linamp._BATCH_MIN_PAIRS])
+def test_dual_amplitudes_of_mixed_pairs_read_nc_and_exact_zeros(monkeypatch, batch_min_pairs):
+    monkeypatch.setattr(linamp, "_BATCH_MIN_PAIRS", batch_min_pairs)  # the batched pass, then the pair loop
+    setup = build_ptr(harness.random_circuit(4, 2, 1, 2, 0.8))
+    counts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1], [2, 0, 1], [0, 0, 1], [25, 0, 24]])
+    # vacuum to vacuum, three pairs of unequal dual totals (one past every table), then two that conserve them
+    pairs = np.array([[0, 0], [1, 2], [3, 0], [5, 0], [2, 2], [1, 4]])
+    got = linamp.dual_amplitudes(setup, counts, pairs)
+    assert got[0] == setup.nc
+    assert got[1] == 0 and got[2] == 0 and got[3] == 0
+    assert np.all(np.abs(got - single_pair_amplitudes(setup, counts, pairs)) <= 1e-14)
+    assert linamp.dual_amplitudes(setup, counts, np.zeros((0, 2), dtype=np.intp)).shape == (0,)
+
+
+def test_dual_amplitudes_refuse_an_oversized_pair_before_forming_its_terms(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setattr(linamp, "_BATCH_MIN_PAIRS", 1)
+    n = linamp.MAX_PERMANENT_SIZE + 1
+    setup = build_ptr(Circuit(n, 1, (Pdc(0, 0, 0.1), LinearS(haar(n, 2)))))
+    ones = np.ones(n, dtype=np.int64)
+    counts = np.array([np.append(ones, 0), np.append(ones, 0), np.append(2 * ones, 0)])  # 21, 21 and 42 photons
+    # one pass over its 2^21 terms would hold 8 MiB; the pair of unequal totals reads zero and raises nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflowError, match=f"permanent of size {n} exceeds {linamp.MAX_PERMANENT_SIZE}"):
+            linamp.dual_amplitudes(setup, counts, np.array([[0, 2], [0, 1]]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    monkeypatch.undo()  # the pair loop refuses it with the same message
+    with pytest.raises(DimensionOverflowError, match=f"permanent of size {n} exceeds {linamp.MAX_PERMANENT_SIZE}"):
+        linamp.dual_amplitudes(setup, counts, np.array([[0, 2], [0, 1]]))
+
+
+def test_dual_amplitudes_do_not_depend_on_the_chunk_size(monkeypatch):
+    setup = build_ptr(harness.random_circuit(1016, 3, 2, 3, 0.5))
+    counts, pairs = linamp._budget_pairs(3, 2, 3)
+    whole = linamp.dual_amplitudes(setup, counts, pairs)
+    assert linamp.DUAL_CHUNK // setup.scattering.full.size >= 100  # several pairs per pass by default
+    monkeypatch.setattr(linamp, "DUAL_CHUNK", 1)  # one term per pass: every pair is cut
+    assert np.array_equal(linamp.dual_amplitudes(setup, counts, pairs), whole)
+
+
+def pair_loop(rows, n_s: int) -> list[tuple[int, int]]:
+    """Every (a, b) of rows with equal photon differences, a then b ascending: the order verify_duality keeps."""
+    differences = [sum(row[:n_s]) - sum(row[n_s:]) for row in rows]
+    return [(a, b) for a, d_a in enumerate(differences) for b, d_b in enumerate(differences) if d_a == d_b]
+
+
+@pytest.mark.parametrize("n_s, n_i", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("budget", range(5))
+def test_budget_pairs_keep_the_row_major_order_of_the_pair_loop(n_s, n_i, budget):
+    keys, pairs = linamp._budget_pairs(n_s, n_i, budget)
+    rows = fock.occupations_upto(n_s + n_i, budget)
+    assert keys.tolist() == [list(row) for row in rows]
+    assert pairs.tolist() == [list(pair) for pair in pair_loop(rows, n_s)]
+
+
+@pytest.mark.parametrize("n_s, n_i", [(1, 1), (2, 1), (2, 2)])
+def test_seeded_subsamples_draw_the_pairs_of_the_pair_loop(n_s, n_i):
+    circuit = harness.random_circuit(3, n_s, n_i, 1, 0.3)
+    loop = pair_loop(fock.occupations_upto(n_s + n_i, 4), n_s)
+    for seed in range(4):
+        report = linamp.verify_duality(circuit, photon_budget=4, photon_cap=8, sample_count=7, seed=seed)
+        chosen = np.sort(np.random.default_rng(seed).choice(len(loop), size=7, replace=False))
+        assert report.comparisons.tolist() == [list(loop[int(k)]) for k in chosen]

@@ -111,6 +111,11 @@ def diagonal_skipped(phases):
     return patched
 
 
+def binomials_unsigned(signed_binomials):
+    """The batched dual kernel's Ryser weights without their signs (-1)^(m - k)."""
+    return np.abs(signed_binomials)
+
+
 def map_transposed(symplectic_from_transfer):
     """The Gaussian arm's doubled-space map transposed."""
 
@@ -129,8 +134,9 @@ FAULTS = {
     "top_short": (fock, "_side_layers", top_short),
     "diagonal_skipped": (fock, "_phases", diagonal_skipped),
     "map_transposed": (gaussian, "symplectic_from_transfer", map_transposed),
+    "binomials_unsigned": (linamp, "_SIGNED_BINOMIALS", binomials_unsigned),
 }
-AMPLITUDE_FAULTS = ["nc_modulus", "si_conjugated", "beta_conjugated", "gain_negated"]
+AMPLITUDE_FAULTS = ["nc_modulus", "si_conjugated", "beta_conjugated", "gain_negated", "binomials_unsigned"]
 
 
 def apply_fault(monkeypatch, name):
@@ -176,7 +182,7 @@ def circuit_file(tmp_path, circuit) -> str:
 
 @pytest.mark.parametrize("name", AMPLITUDE_FAULTS)
 def test_verify_reads_a_mismatch(monkeypatch, name):
-    """Unpatched 2.7e-10; patched 5.4e-2 (nc), 0.82 (si), 0.11 (beta) and 2.0 (gain)."""
+    """Unpatched 2.7e-10; patched 5.4e-2 (nc), 0.82 (si), 0.11 (beta), 2.0 (gain) and 1.34 (binomial signs)."""
     assert linamp.verify_duality(verify_circuit(), 2, photon_cap=24).max_rel_residual < VERIFY_TOL
     apply_fault(monkeypatch, name)
     assert linamp.verify_duality(verify_circuit(), 2, photon_cap=24).max_rel_residual > 1e4 * VERIFY_TOL
