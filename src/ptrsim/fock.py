@@ -564,7 +564,6 @@ def apply_circuit(
     leak_tol: float | None = DEFAULT_LEAK_TOL,
     *,
     operators: _Operators | None = None,
-    overwrite: bool = False,
 ) -> np.ndarray:
     """Apply the full nonlinear operator of ``circuit`` to a block of columns.
 
@@ -575,10 +574,10 @@ def apply_circuit(
     breaks only at a pair source or a network that mixes paths.  Operators
     come from ``operators``, which a caller evolving several blocks shares
     between them, or else from a new :class:`_Operators`.  The block is
-    evolved in a private copy unless ``overwrite`` is set and it is already
-    a complex128 array, which is then evolved in place and returned: a
-    caller that built the block for this call and never reads it again
-    (:func:`postselection_amplitudes`) saves the copy and its memory.
+    consumed: a writable C-ordered complex128 array is evolved in place and
+    returned, anything else is first converted to a new one.  A caller that
+    reads the block again passes a copy; :func:`postselection_amplitudes`
+    builds each block for one call and saves the copy and its memory.
 
     Truncation is guarded two ways when ``leak_tol`` is set, on each
     difference sector of each column apart, since a column of a space of
@@ -596,7 +595,7 @@ def apply_circuit(
 
     if circuit.n_s_paths != space.n_s_paths or circuit.n_i_paths != space.n_i_paths:
         raise ValueError("circuit and space disagree on path counts")
-    block = (np.asarray if overwrite else np.array)(block, dtype=np.complex128)  # evolved in place
+    block = np.require(block, np.complex128, ["C", "W"])  # evolved in place
     squeeze = block.ndim == 1
     if squeeze:
         block = block[:, None]
@@ -711,6 +710,22 @@ def _width_groups(n_s: int, n_i: int, cap: int, deltas: list[int], widths: list[
     return groups
 
 
+def _checked_pairs(occupations, pairs, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``occupations`` as int64 count rows on ``n_modes`` modes and ``pairs`` as (P, 2) int64 indices into them.
+
+    Counts that are not integers, or negative, and pair indices that are not
+    integers or fall outside ``occupations`` raise ``ValueError``.
+    """
+    counts = _count_rows(occupations).reshape(len(occupations), n_modes)
+    if counts.size and counts.min() < 0:
+        raise ValueError("occupation counts must be nonnegative")
+    pairs = _count_rows(pairs, "pair indices").reshape(len(pairs), 2)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= len(counts)):
+        outside = ((pairs < 0) | (pairs >= len(counts))).any(axis=1)
+        raise ValueError(f"pair {tuple(pairs[outside][0].tolist())} indexes outside the {len(counts)} occupations")
+    return counts, pairs
+
+
 def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_tol: float | None) -> np.ndarray:
     """<occupations[b]| U |occupations[a]> for every index pair (a, b) of ``pairs``, by brute force.
 
@@ -736,17 +751,11 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
     """
     from . import ptr  # local import: ptr depends on scatter only
     n_s = circuit.n_s_paths
-    counts = _count_rows(occupations).reshape(len(occupations), n_s + circuit.n_i_paths)
-    if counts.size and counts.min() < 0:
-        raise ValueError("occupation counts must be nonnegative")
+    counts, pairs = _checked_pairs(occupations, pairs, n_s + circuit.n_i_paths)
     if counts.size and (counts.max() > photon_cap or counts.sum(axis=1).max() > photon_cap):  # no sum wraps
         raise ValueError("photon cap below the requested occupations")
     codes = _lex_rank(counts, photon_cap)
     differences = counts[:, :n_s].sum(axis=1) - counts[:, n_s:].sum(axis=1)
-    pairs = _count_rows(pairs, "pair indices").reshape(len(pairs), 2)
-    outside = ((pairs < 0) | (pairs >= len(counts))).any(axis=1)
-    if outside.any():
-        raise ValueError(f"pair {tuple(pairs[outside][0].tolist())} indexes outside the {len(counts)} occupations")
     elements, n_modes = circuit.elements, counts.shape[1]
     sources = [j for j, element in enumerate(elements) if isinstance(element, ptr.Pdc)] or [len(elements)]
     core = ptr.Circuit(n_s, circuit.n_i_paths, elements[sources[0] : sources[-1] + 1])
@@ -781,7 +790,7 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
         block[space._ranked_rows(codes, ins[first[chosen]], counts), column[chosen]] = 1.0
         for lo, hi, unitary, top in head:
             _apply_unitary(space, lo, hi, unitary, block, operators, top)
-        evolved = apply_circuit(core, space, block, leak_tol=leak_tol, operators=operators, overwrite=True)
+        evolved = apply_circuit(core, space, block, leak_tol=leak_tol, operators=operators)
         for lo, hi, unitary, top in tail:
             _apply_unitary(space, lo, hi, unitary, evolved, operators, top)
         read = np.flatnonzero(chosen[which])

@@ -206,14 +206,16 @@ def ptr_postselection_amplitude(setup: PtrSetup, input_occ, output_occ) -> compl
 def dual_amplitudes(setup: PtrSetup, counts: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """:func:`ptr_postselection_amplitude` of every index pair (a, b) of ``pairs``, in one numpy pass.
 
-    ``counts`` holds int64 count rows, signal paths first, and ``pairs`` a
-    (P, 2) integer array of row indices, both as
-    :func:`fock.postselection_amplitudes` has checked them (this function
-    checks neither again); pair (a, b) takes row a in and row b out, with
-    their idler counts swapped.  Each pair sums Ryser's formula over the
-    side :func:`_repeated_permanent` would pick: the output side only if it
-    has strictly fewer prod(m + 1) terms.  All (pair, term) entries are laid
-    out flat, pairs summed over their input side first, and evaluated in
+    ``counts`` holds count rows, signal paths first, and ``pairs`` a (P, 2)
+    array of row indices; pair (a, b) takes row a in and row b out, with
+    their idler counts swapped.  Both are checked as
+    :func:`fock.postselection_amplitudes` checks them: counts that are not
+    integers, or negative, and pair indices that are not integers or fall
+    outside ``counts`` raise ``ValueError``.  Each pair sums Ryser's
+    formula over the side :func:`_repeated_permanent` would pick: the
+    output side only if it has strictly fewer prod(m + 1) terms.  All
+    (pair, term) entries are laid out flat, pairs summed over their input
+    side first, and evaluated in
     passes of ``DUAL_CHUNK // modes^2`` entries (at least one), so a large
     call holds a bounded amount at a time.  An entry's digits k pick its
     signed binomial weights from a table; its row sums are k times the
@@ -236,6 +238,7 @@ def dual_amplitudes(setup: PtrSetup, counts: np.ndarray, pairs: np.ndarray) -> n
     at a time call the single-pair entries directly.
     """
     full, n_s = setup.scattering.full, setup.scattering.n_s
+    counts, pairs = fock._checked_pairs(counts, pairs, n_s + setup.scattering.n_i)  # a negative count would wrap
     swapped = counts[pairs]  # (P, 2, modes): each pair's input and output rows
     swapped[:, :, n_s:] = swapped[:, ::-1, n_s:]  # partial time reversal swaps the idler counts
     if len(swapped) < _BATCH_MIN_PAIRS:
@@ -343,9 +346,8 @@ def compare_amplitudes(
     ``occupations`` holds count rows, signal paths first; pair (a, b) takes
     row a in and row b out.  The brute-force side comes from
     :func:`fock.postselection_amplitudes`, which checks the rows and pairs;
-    the dual side from one :func:`dual_amplitudes` call on the checked rows,
-    with no second check.  The cap defaults to :func:`fock.auto_photon_cap` of
-    the fullest row.  Amplitude pairs whose magnitudes both fall below
+    the dual side from one :func:`dual_amplitudes` call.  The cap defaults
+    to :func:`fock.auto_photon_cap` of the fullest row.  Amplitude pairs whose magnitudes both fall below
     ``ATOL`` count as residual zero; a NaN amplitude leaves a NaN residual.
     """
     if photon_cap is None:
@@ -354,7 +356,7 @@ def compare_amplitudes(
     setup = ptr.build_ptr(circuit)
     counts = np.asarray(occupations, dtype=np.int64).reshape(len(occupations), circuit.n_s_paths + circuit.n_i_paths)
     comparisons = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
-    dual = dual_amplitudes(setup, counts, comparisons)  # rows and pairs checked above
+    dual = dual_amplitudes(setup, counts, comparisons)
     abs_residual = np.abs(nonlinear - dual)
     scale = np.maximum(np.abs(nonlinear), np.abs(dual))  # NaN next to a NaN amplitude, so the residual stays NaN
     with np.errstate(invalid="ignore", divide="ignore"):

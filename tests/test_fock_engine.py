@@ -73,7 +73,7 @@ def test_engine_matches_dense_oracle(case):
     rng = np.random.default_rng(seed)
     block = rng.normal(size=(space.dimension, 2)) + 1j * rng.normal(size=(space.dimension, 2))
     block /= np.linalg.norm(block, axis=0)
-    got = fock.apply_circuit(circuit, space, block, leak_tol=None)
+    got = fock.apply_circuit(circuit, space, block.copy(), leak_tol=None)  # the block is evolved in place
     expected = oracles.nonlinear_operator(circuit, space) @ block
     assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -213,7 +213,7 @@ def test_leak_guard_regression():
     small = fock.FockSpace(2, 1, 6, delta=0)
     vacuum = oracles.one_hot(small, [(0, 0, 0)])
     with pytest.raises(TruncationLeakError):
-        fock.apply_circuit(circuit, small, vacuum, leak_tol=1e-3)
+        fock.apply_circuit(circuit, small, vacuum.copy(), leak_tol=1e-3)
     fock.apply_circuit(circuit, small, vacuum, leak_tol=None)
     adequate = fock.FockSpace(2, 1, 20, delta=0)
     out = fock.apply_circuit(circuit, adequate, oracles.one_hot(adequate, [(0, 0, 0)]), leak_tol=1e-3)
@@ -316,7 +316,7 @@ def test_leak_guard_leaves_the_evolved_block_unchanged():
     circuit = Circuit(2, 1, (PhaseS(1, 0.4), Pdc(0, 0, 0.5), PhaseI(0, 1.3), LinearS(haar(2, 9)), Pdc(1, 0, 0.4)))
     space = fock.FockSpace(2, 1, 24, delta=0)
     block = oracles.one_hot(space, [(0, 0, 0), (1, 0, 1), (0, 1, 1)])
-    guarded = fock.apply_circuit(circuit, space, block, leak_tol=1e-3)
+    guarded = fock.apply_circuit(circuit, space, block.copy(), leak_tol=1e-3)  # the block is evolved in place
     assert np.array_equal(guarded, fock.apply_circuit(circuit, space, block, leak_tol=None))
 
 
@@ -354,3 +354,19 @@ def test_star_fold_and_gaussian_arm_import_no_scipy(module):
     Q-function path faults in scipy's bundled BLAS, and importing scipy.linalg
     alone roughly triples the package's import time and doubles its peak RSS."""
     assert "scipy" not in imported_names(module)
+
+
+def test_apply_circuit_consumes_a_complex_block_and_converts_any_other():
+    """A writable C-ordered complex128 block is evolved in place and returned; any other block is left as it was."""
+    circuit = Circuit(2, 1, (PhaseS(1, 0.4), Pdc(0, 0, 0.5), LinearS(haar(2, 9))))
+    space = fock.FockSpace(2, 1, 16, delta=0)
+    block = oracles.one_hot(space, [(0, 0, 0), (1, 0, 1)])
+    others = [block.real.copy(), np.asfortranarray(block), block.copy()]
+    others[2].flags.writeable = False
+    expected = fock.apply_circuit(circuit, space, block.copy(), leak_tol=None)
+    assert fock.apply_circuit(circuit, space, block, leak_tol=None) is block
+    assert np.array_equal(block, expected)
+    for other in others:
+        kept = other.copy()
+        assert np.array_equal(fock.apply_circuit(circuit, space, other, leak_tol=None), expected)
+        assert np.array_equal(other, kept)

@@ -126,5 +126,5 @@ def test_phase_plates_between_haar_layers_match_the_dense_oracle():
     expected = oracles.nonlinear_operator(circuit, space)
     block = np.eye(space.dimension, dtype=np.complex128)
     for _ in range(2):  # plans built, then reused
-        got = fock.apply_circuit(circuit, space, block, leak_tol=None)
+        got = fock.apply_circuit(circuit, space, block.copy(), leak_tol=None)  # the block is evolved in place
         assert np.max(np.abs(got - expected)) <= 1e-12

@@ -534,6 +534,22 @@ def test_dual_amplitudes_refuse_an_oversized_pair_before_forming_its_terms(monke
         linamp.dual_amplitudes(setup, counts, np.array([[0, 2], [0, 1]]))
 
 
+@pytest.mark.parametrize("batch_min_pairs", [1, linamp._BATCH_MIN_PAIRS])
+def test_dual_amplitudes_refuse_counts_and_pairs_that_would_index_the_tables_wrongly(monkeypatch, batch_min_pairs):
+    """A negative count or pair index would wrap round a table or the rows and read a wrong amplitude."""
+    monkeypatch.setattr(linamp, "_BATCH_MIN_PAIRS", batch_min_pairs)  # the batched pass, then the pair loop
+    setup = build_ptr(harness.random_circuit(4, 2, 1, 2, 0.8))
+    counts, pairs = np.array([[1, 0, 0], [0, 1, 0]]), np.array([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        linamp.dual_amplitudes(setup, np.array([[1, 0, 0], [2, -1, 0]]), pairs)
+    with pytest.raises(ValueError, match="must be integers"):
+        linamp.dual_amplitudes(setup, counts.astype(float), pairs)
+    for bad in ([[0, -1], [1, 0]], [[0, 1], [2, 0]]):
+        with pytest.raises(ValueError, match="indexes outside the 2 occupations"):
+            linamp.dual_amplitudes(setup, counts, np.array(bad))
+    assert np.all(np.abs(linamp.dual_amplitudes(setup, counts, pairs) - single_pair_amplitudes(setup, counts, pairs)) <= 1e-14)
+
+
 def test_dual_amplitudes_do_not_depend_on_the_chunk_size(monkeypatch):
     setup = build_ptr(harness.random_circuit(1016, 3, 2, 3, 0.5))
     counts, pairs = linamp._budget_pairs(3, 2, 3)
