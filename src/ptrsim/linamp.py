@@ -2,17 +2,17 @@
 
 Postselected Fock amplitudes of a linear network are permanents of the
 network's submatrix over the occupied modes, rows and columns repeated by
-their counts.  Ryser's formula is summed over the repeats, with each
-distinct row raised to the power of its multiplicity, so the dual arm
-never builds the repeated submatrix.  Two kernels evaluate it.  The
-single-pair kernel (:func:`_repeated_permanent`) serves :func:`permanent`,
-:func:`linear_fock_amplitude`, :func:`ptr_postselection_amplitude` and
+their counts.  Ryser's formula is summed over the repeats of one side by
+multiplicity (Chin & Huh 2018), so only the other side is repeated.  Two
+kernels evaluate it.  The single-pair kernel (:func:`_counts_amplitude`)
+serves :func:`ptr_postselection_amplitude` and
 :func:`four_photon_awp_amplitude`, on plain count tuples once
 :func:`_occupation_counts` has checked them; those callers ask for one
-amplitude at a time, where its small fixed cost wins.  The batched kernel
+amplitude at a time, where its small fixed cost wins.  Its core
+:func:`_ryser` also serves :func:`permanent`.  The batched kernel
 :func:`dual_amplitudes` evaluates every index pair of a set of count rows
 in one numpy pass (a call of only a few pairs goes pair by pair through the
-single-pair kernel).  Only the two single-pair entries here take the
+single-pair kernel).  Only :func:`ptr_postselection_amplitude` takes the
 (signal counts, idler counts) pair form, which the dual arm's idler swap
 needs; everything else takes count rows.  :func:`compare_amplitudes` pits
 the batched amplitudes, scaled by the normalization coefficient of the
@@ -29,15 +29,13 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import fock, ptr
 from .errors import DimensionOverflowError
 from .ptr import Circuit, PtrSetup
-from .scatter import ScatteringMatrix
 
 MAX_PERMANENT_SIZE = 20
 #: Ryser terms evaluated per matmul; grids this small are also cached.
@@ -45,9 +43,9 @@ RYSER_CHUNK = 1 << 10
 #: row-sum products per pass of :func:`dual_amplitudes`, which takes DUAL_CHUNK // modes^2 (pair, term)
 #: entries at a time, at least one: 8 MiB of products whatever the number of modes
 DUAL_CHUNK = 1 << 19
-#: calls of fewer pairs take the single-pair kernel pair by pair: the batched pass's few dozen numpy
-#: calls cost 55 us at one pair against 14 us, and 71 against 87 us at eight (2-vCPU x86-64 VM)
-_BATCH_MIN_PAIRS = 8
+#: calls of fewer pairs take the single-pair kernel pair by pair: on budget-4 pairs the batched pass costs 60-75 us
+#: at one pair against 14 us, 105 against 101 at 16 and 107 against 120 at 20 (2-vCPU x86-64 VM, one BLAS thread)
+_BATCH_MIN_PAIRS = 16
 _FACTORIALS = tuple(math.factorial(n) for n in range(MAX_PERMANENT_SIZE + 1))
 #: m + 1 at [0, m] and m! at [1, m]: the Ryser terms and the norm that m photons in one mode contribute.
 _COUNT_TABLE = np.array([[m + 1 for m in range(MAX_PERMANENT_SIZE + 1)], _FACTORIALS], dtype=float)
@@ -75,15 +73,13 @@ def _ryser_grid(multiplicities: tuple[int, ...], start: int, stop: int):
     """Terms start..stop-1 of the mixed-radix grid k in prod [0, m_j], with weights.
 
     Returns the grid as a complex (J, stop - start) matrix and the weights
-    (-1)^(n - |k|) prod_j C(m_j, k_j), n = sum m_j.
+    (-1)^(n - |k|) prod_j C(m_j, k_j), n = sum m_j, read from ``_SIGNED_BINOMIALS``.
     """
-    radices = np.array(multiplicities) + 1
+    mult = np.array(multiplicities)
+    radices = mult + 1
     strides = np.cumprod(np.concatenate(([1], radices[:-1])))
     digits = (np.arange(start, stop)[None, :] // strides[:, None]) % radices[:, None]
-    signed_binom = np.zeros((len(multiplicities), radices.max()))
-    for j, m in enumerate(multiplicities):
-        signed_binom[j, : m + 1] = [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
-    weights = signed_binom[np.arange(len(multiplicities))[:, None], digits].prod(axis=0)
+    weights = _SIGNED_BINOMIALS[mult[:, None], digits].prod(axis=0)
     grid, weights = digits.astype(np.complex128), weights.astype(np.complex128)
     grid.setflags(write=False)  # one-chunk grids are cached and shared
     weights.setflags(write=False)
@@ -93,36 +89,26 @@ def _ryser_grid(multiplicities: tuple[int, ...], start: int, stop: int):
 _cached_ryser_grid = lru_cache(maxsize=128)(_ryser_grid)
 
 
-def _repeated_permanent(distinct: np.ndarray, row_mult: tuple[int, ...], col_mult: tuple[int, ...]) -> complex:
-    """Permanent of ``distinct`` with row r repeated row_mult[r] times, column j col_mult[j].
+def _ryser(sub: np.ndarray, multiplicities: tuple[int, ...], terms: int) -> complex:
+    """Permanent of ``sub`` with column j repeated multiplicities[j] times; its rows come repeated already.
 
-    Ryser's formula summed by multiplicity: a subset takes k = 0..m copies
-    of a column repeated m times, in C(m, k) ways (Chin & Huh 2018), and a
-    row repeated m times enters as its row sum to the power m.  The sum
-    runs over the side with fewer prod(m + 1) terms (perm A = perm A^T), in
-    chunks of ``RYSER_CHUNK`` terms, each one matmul.  This is the
-    single-pair kernel; :func:`dual_amplitudes` evaluates many pairs at once.
+    Ryser's formula summed by multiplicity: a subset takes k = 0..m copies of a column repeated m times, in
+    C(m, k) ways (Chin & Huh 2018).  Its ``terms`` = prod(m + 1) terms are taken ``RYSER_CHUNK`` at a time.
     """
-    row_terms, terms = _terms(row_mult), _terms(col_mult)
-    if row_terms < terms:
-        distinct, row_mult, col_mult = distinct.T, col_mult, row_mult
-        row_terms, terms = terms, row_terms
-    # prod(m + 1) is 2^rows only if no row repeats; every power is then 1 and is skipped
-    powers = None if row_terms == 1 << len(row_mult) else np.array(row_mult)[:, None]
     grid_of = _cached_ryser_grid if terms <= RYSER_CHUNK else _ryser_grid
     total = 0.0 + 0.0j
     for start in range(0, terms, RYSER_CHUNK):
-        grid, weights = grid_of(col_mult, start, min(start + RYSER_CHUNK, terms))
-        sums = distinct.dot(grid)
-        total += np.multiply.reduce(sums if powers is None else sums ** powers, axis=0).dot(weights)
+        grid, weights = grid_of(multiplicities, start, min(start + RYSER_CHUNK, terms))
+        total += np.multiply.reduce(sub.dot(grid), axis=0).dot(weights)
     return complex(total)
 
 
 def permanent(matrix: np.ndarray) -> complex:
     """Permanent of a square complex matrix by Ryser's formula.
 
-    Runs of equal adjacent columns and rows are summed by multiplicity
-    (:func:`_repeated_permanent`).  Sizes above ``MAX_PERMANENT_SIZE`` are refused.
+    Runs of equal adjacent columns, or of equal adjacent rows where they
+    need fewer terms (perm A = perm A^T), are summed by multiplicity
+    (:func:`_ryser`).  Sizes above ``MAX_PERMANENT_SIZE`` are refused.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -134,11 +120,33 @@ def permanent(matrix: np.ndarray) -> complex:
         return 1.0 + 0.0j
     col_starts, col_mult = _multiplicities(matrix)
     row_starts, row_mult = _multiplicities(matrix.T)
-    return _repeated_permanent(matrix[row_starts][:, col_starts], row_mult, col_mult)
+    if _terms(row_mult) < _terms(col_mult):
+        matrix, col_starts, col_mult = matrix.T, row_starts, row_mult
+    return _ryser(matrix[:, col_starts], col_mult, _terms(col_mult))
+
+
+class _RowPlan(NamedTuple):
+    """What the single-pair kernel reads of one count row; shared, but writable: ``take`` copies a read-only index."""
+
+    modes: np.ndarray  # the occupied modes
+    multiplicities: tuple[int, ...]  # their counts
+    repeated: np.ndarray  # each occupied mode as often as it is occupied
+    terms: int  # prod(m + 1): the Ryser terms of summing over this row
+    norm: int  # prod(m!): the row's part of the Fock normalisation
+
+
+@lru_cache(maxsize=1 << 12)  # every row of a 4+4-path column of 6 photons (1,716) fits, with the rows it pairs with
+def _row_plan(counts: tuple[int, ...]) -> _RowPlan:
+    """The plan of one checked count row; cached, since the rows of a column recur across its amplitudes."""
+    multiplicities = tuple(filter(None, counts))
+    modes = np.array([j for j, n in enumerate(counts) if n], dtype=np.intp)
+    terms, norm = math.prod([m + 1 for m in multiplicities]), math.prod([_FACTORIALS[m] for m in multiplicities])
+    return _RowPlan(modes, multiplicities, np.repeat(modes, multiplicities), terms, norm)
 
 
 def _counts_amplitude(matrix: np.ndarray, in_counts: tuple[int, ...], out_counts: tuple[int, ...]) -> complex:
-    """<out_counts| L |in_counts>: the occupied modes are the distinct rows and columns."""
+    """<out_counts| L |in_counts>, the single-pair kernel: Ryser's sum over the input side's multiplicities, the
+    output rows repeated, or over the output side's only if it has strictly fewer prod(m + 1) terms."""
     photons = sum(in_counts)
     if photons != sum(out_counts):
         return 0.0 + 0.0j
@@ -146,11 +154,12 @@ def _counts_amplitude(matrix: np.ndarray, in_counts: tuple[int, ...], out_counts
         raise DimensionOverflowError(f"permanent of size {photons} exceeds {MAX_PERMANENT_SIZE}")
     if photons == 0:
         return 1.0 + 0.0j
-    cols = list(compress(range(len(in_counts)), in_counts))
-    rows = list(compress(range(len(out_counts)), out_counts))
-    col_mult, row_mult = tuple(filter(None, in_counts)), tuple(filter(None, out_counts))
-    norm = math.prod(map(_FACTORIALS.__getitem__, col_mult + row_mult))
-    return _repeated_permanent(matrix.take(rows, 0).take(cols, 1), row_mult, col_mult) / math.sqrt(norm)
+    cols, rows = _row_plan(in_counts), _row_plan(out_counts)
+    if rows.terms < cols.terms:  # the permanent of the transpose, its columns the output modes
+        sub, summed = matrix.take(cols.repeated, 1).take(rows.modes, 0).T, rows
+    else:
+        sub, summed = matrix.take(rows.repeated, 0).take(cols.modes, 1), cols
+    return _ryser(sub, summed.multiplicities, summed.terms) / math.sqrt(cols.norm * rows.norm)
 
 
 def _occupation_counts(value, n_s_paths: int, n_i_paths: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -171,18 +180,6 @@ def _occupation_counts(value, n_s_paths: int, n_i_paths: int) -> tuple[tuple[int
     return s_counts, i_counts
 
 
-def linear_fock_amplitude(network: ScatteringMatrix, input_occ, output_occ) -> complex:
-    """<output| L |input> for a photon-number-conserving linear network.
-
-    ``network.full`` scatters creation operators over the concatenated
-    (signal, idler) path index; occupations repeat its columns (input) and
-    rows (output).  Zero when the total photon number changes.
-    """
-    in_s, in_i = _occupation_counts(input_occ, network.n_s, network.n_i)
-    out_s, out_i = _occupation_counts(output_occ, network.n_s, network.n_i)
-    return _counts_amplitude(network.full, in_s + in_i, out_s + out_i)
-
-
 def ptr_postselection_amplitude(setup: PtrSetup, input_occ, output_occ) -> complex:
     """Dual-picture prediction of <output| U |input> for the nonlinear circuit.
 
@@ -195,7 +192,7 @@ def ptr_postselection_amplitude(setup: PtrSetup, input_occ, output_occ) -> compl
     This is the single-pair kernel: one amplitude per call, as callers that
     walk the outputs of a column one at a time ask for them.  A one-pair
     :func:`dual_amplitudes` call agrees with it to roundoff but costs several
-    times more (about 55 against 12 us on a 2-vCPU x86-64 VM, numpy 2.4).
+    times more (65 against 9 us, 2-vCPU x86-64 VM, numpy 2.4, one BLAS thread).
     """
     n_s, n_i = setup.scattering.n_s, setup.scattering.n_i
     s_in, i_in = _occupation_counts(input_occ, n_s, n_i)
@@ -212,7 +209,7 @@ def dual_amplitudes(setup: PtrSetup, counts: np.ndarray, pairs: np.ndarray) -> n
     :func:`fock.postselection_amplitudes` checks them: counts that are not
     integers, or negative, and pair indices that are not integers or fall
     outside ``counts`` raise ``ValueError``.  Each pair sums Ryser's
-    formula over the side :func:`_repeated_permanent` would pick: the
+    formula over the side :func:`_counts_amplitude` would pick: the
     output side only if it has strictly fewer prod(m + 1) terms.  All
     (pair, term) entries are laid out flat, pairs summed over their input
     side first, and evaluated in
@@ -231,11 +228,11 @@ def dual_amplitudes(setup: PtrSetup, counts: np.ndarray, pairs: np.ndarray) -> n
     :class:`DimensionOverflowError` before any term is formed.
 
     The pass makes a few dozen numpy calls whatever the number of pairs, so
-    a single pair costs several times what the single-pair kernel takes.
-    A call of fewer than ``_BATCH_MIN_PAIRS`` pairs (``ptrsim amp`` asks for
-    one) therefore takes that kernel pair by pair, with the same results as
-    :func:`ptr_postselection_amplitude`; callers that ask for one amplitude
-    at a time call the single-pair entries directly.
+    a single pair costs several times what the single-pair kernel takes
+    (about 65 against 9 us).  A call of fewer than ``_BATCH_MIN_PAIRS``
+    pairs (``ptrsim amp`` asks for one) therefore takes that kernel pair by
+    pair, with the same results as :func:`ptr_postselection_amplitude`;
+    callers that ask for one amplitude at a time call that entry directly.
     """
     full, n_s = setup.scattering.full, setup.scattering.n_s
     counts, pairs = fock._checked_pairs(counts, pairs, n_s + setup.scattering.n_i)  # a negative count would wrap
@@ -243,7 +240,8 @@ def dual_amplitudes(setup: PtrSetup, counts: np.ndarray, pairs: np.ndarray) -> n
     swapped[:, :, n_s:] = swapped[:, ::-1, n_s:]  # partial time reversal swaps the idler counts
     if len(swapped) < _BATCH_MIN_PAIRS:
         # the Python complex product, as ptr_postselection_amplitude takes it: numpy's may differ in the last bit
-        return np.array([setup.nc * _counts_amplitude(full, *rows) for rows in swapped.tolist()], dtype=np.complex128)
+        amplitudes = [setup.nc * _counts_amplitude(full, tuple(a), tuple(b)) for a, b in swapped.tolist()]
+        return np.array(amplitudes, dtype=np.complex128)
     photons = swapped.sum(axis=2)
     valid = photons[:, 0] == photons[:, 1]
     if photons.max(initial=0) > MAX_PERMANENT_SIZE and (oversized := photons[valid, 0] > MAX_PERMANENT_SIZE).any():
@@ -427,9 +425,9 @@ def four_photon_awp_amplitude(setup: PtrSetup, s_pair: Sequence[int], i_pair: Se
     return _counts_amplitude(coupling, i_counts, s_counts)
 
 
-def _path_counts(paths: Sequence[int], n_paths: int) -> list[int]:
+def _path_counts(paths: Sequence[int], n_paths: int) -> tuple[int, ...]:
     """Photons on each of ``n_paths`` paths; every entry of ``paths`` must be an integer in range."""
     bad = [path for path in paths if not (isinstance(path, (int, np.integer)) and 0 <= path < n_paths)]
     if bad:
         raise ValueError(f"detection path {bad[0]!r} is not an integer in 0..{n_paths - 1}")
-    return [sum(path == j for path in paths) for j in range(n_paths)]
+    return tuple(sum(path == j for path in paths) for j in range(n_paths))

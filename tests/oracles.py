@@ -5,9 +5,10 @@ operators and brute-force enumeration, deliberately sharing no code with
 the package under test.  The sparse-generator oracles borrow only the
 package's basis order, so their matrices can be compared with its evolved
 columns entry by entry; the scattering helpers borrow only its block
-container.  The package-side defects at the end are the exception: they
-measure identities on the package's own symplectic maps and scattering
-factors.
+container.  The package-side defects and the entry at the end are the
+exception: the defects measure identities on the package's own symplectic
+maps and scattering factors, and the entry reaches the package's
+single-pair permanent kernel on a plain linear network.
 """
 
 from __future__ import annotations
@@ -416,3 +417,27 @@ def substituted_factors(circuit) -> list:
             side = "s" if isinstance(element, LinearS) else "i"
             factors.append(embed_linear(element.matrix, side, n_s, n_i))
     return factors
+
+
+# ---------------------------------------------------------------------------
+# package-side entry
+#
+# The dual arm's single-pair kernel on a plain linear network, which no
+# caller in the package needs: the tests check that kernel through it.
+# ---------------------------------------------------------------------------
+
+
+def linear_fock_amplitude(network, input_occ, output_occ) -> complex:
+    """<output| L |input> for a photon-number-conserving linear network, from the package's kernel.
+
+    ``network.full`` scatters creation operators over the concatenated
+    (signal, idler) path index; occupations are (signal counts, idler
+    counts) pairs, checked as ``ptr_postselection_amplitude`` checks them,
+    and repeat its columns (input) and rows (output).  Zero when the total
+    photon number changes.
+    """
+    from ptrsim import linamp
+
+    in_s, in_i = linamp._occupation_counts(input_occ, network.n_s, network.n_i)
+    out_s, out_i = linamp._occupation_counts(output_occ, network.n_s, network.n_i)
+    return linamp._counts_amplitude(network.full, in_s + in_i, out_s + out_i)

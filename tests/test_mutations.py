@@ -24,6 +24,7 @@ asserts a catch there:
 """
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -112,7 +113,7 @@ def diagonal_skipped(phases):
 
 
 def binomials_unsigned(signed_binomials):
-    """The batched dual kernel's Ryser weights without their signs (-1)^(m - k)."""
+    """The dual kernels' Ryser weights without their signs (-1)^(m - k): the batched pass's and the single-pair grids'."""
     return np.abs(signed_binomials)
 
 
@@ -142,6 +143,10 @@ AMPLITUDE_FAULTS = ["nc_modulus", "si_conjugated", "beta_conjugated", "gain_nega
 def apply_fault(monkeypatch, name):
     module, attribute, fault = FAULTS[name]
     monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
+    if attribute == "_SIGNED_BINOMIALS":
+        # the single-pair kernel caches its grids with their weights (its row plans hold none): a fresh cache,
+        # dropped on undo, so no grid made before the patch hides the fault and none made under it outlives it
+        monkeypatch.setattr(linamp, "_cached_ryser_grid", functools.lru_cache(maxsize=128)(linamp._ryser_grid))
 
 
 def verify_circuit():
@@ -192,6 +197,18 @@ def test_verify_reads_a_mismatch(monkeypatch, name):
 def test_verify_command_exits_one_not_three(monkeypatch, tmp_path, capsys, name):
     """A real fault is a mismatch (exit 1), never a pass or a truncation verdict."""
     argv = ["verify", "--circuit", circuit_file(tmp_path, verify_circuit()), "--max-photons", "2", "--cutoff", "24"]
+    assert cli.main(argv) == cli.EXIT_PASS
+    apply_fault(monkeypatch, name)
+    assert cli.main(argv) == cli.EXIT_RESIDUAL
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", AMPLITUDE_FAULTS)
+def test_amp_command_exits_one_not_three(monkeypatch, tmp_path, capsys, name):
+    """One pair takes the single-pair kernel: unpatched 2.2e-11; patched 5.4e-2 (nc), 0.66 (si), 0.11 (beta),
+    2.0 (gain) and 1.5 (binomial signs)."""
+    path = circuit_file(tmp_path, verify_circuit())
+    argv = ["amp", "--circuit", path, "--input", "1,0;0,0", "--output", "1,1;1,0", "--cutoff", "24"]
     assert cli.main(argv) == cli.EXIT_PASS
     apply_fault(monkeypatch, name)
     assert cli.main(argv) == cli.EXIT_RESIDUAL
