@@ -32,7 +32,14 @@ The module takes count rows only, signal paths first, with index pairs into
 them.  It evolves the sectors with equally many distinct inputs as one block
 on the space of their union, column j holding each one's j-th input, and
 builds every ladder decomposition and lifted block once per call, whatever
-the number of blocks.  It applies the one-sided networks outside the pair
+the number of blocks.  Which sectors evolve together, and which cells of
+their blocks are seeded and read, depends on the paths, rows, pairs, cap
+and ``DIM_LIMIT`` alone: :func:`_postselection_plan` keeps that layout,
+keyed by those (the rows and pairs as the bytes of their checked int64
+arrays), for the ``PLAN_CACHE_SIZE`` (8) most recent keys.  A plan holds
+index arrays and sector keys only, no circuit data and no space, so each
+circuit of one shape checked on the same pairs builds only its operators
+and evolves.  It applies the one-sided networks outside the pair
 sources, which keep each side's photon number, only on the photon numbers the
 queried rows hold; where a side holds only diagonal ones there, they merely
 rephase each queried row, so they become one phase per row and no sector
@@ -42,10 +49,11 @@ spaces, keyed by (signal paths, idler paths, cap, delta or tuple of deltas),
 which is all a space depends on; so circuits of one shape and cap reuse its
 rows, ranks and the ladder, number-block, occupation and sector plans it
 builds on first use, while :class:`FockSpace` and :func:`enumerate_basis`
-build a new one per call.  Every array of a space and of its plans is
-read-only: the next caller evolves on the same object, so a write would
-change its results.  No space holds more than ``DIM_LIMIT`` states; the size
-is counted by formula before anything is built.
+build a new one per call.  Every array of a space, of its plans and of a
+postselection plan is read-only: the next caller evolves on the same
+object, so a write would change its results.  No space holds more than
+``DIM_LIMIT`` states; the size is counted by formula before anything is
+built.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -695,14 +704,16 @@ def _side_layers(elements, n_s: int, rows: np.ndarray) -> list[tuple[int, int, n
     return layers
 
 
-def _width_groups(n_s: int, n_i: int, cap: int, deltas: list[int], widths: list[int]) -> list[tuple[int, list[int]]]:
+def _width_groups(
+    n_s: int, n_i: int, cap: int, deltas: list[int], widths: list[int], limit: int
+) -> list[tuple[int, list[int]]]:
     """(width, positions in ``deltas``) per group: the sectors of each width, in increasing order, packed
-    into groups of at most ``DIM_LIMIT`` states.  A sector over the limit alone is a group of one, which
+    into groups of at most ``limit`` states.  A sector over the limit alone is a group of one, which
     raises once its space is asked for."""
     groups: list[tuple[int, list[int]]] = []
     for width, delta, position in sorted(zip(widths, deltas, range(len(deltas)))):
         dimension = _sector_dimension(n_s, n_i, cap, delta)
-        if not groups or groups[-1][0] != width or states + dimension > DIM_LIMIT:
+        if not groups or groups[-1][0] != width or states + dimension > limit:
             groups.append((width, []))
             states = 0
         groups[-1][1].append(position)
@@ -726,6 +737,61 @@ def _checked_pairs(occupations, pairs, n_modes: int) -> tuple[np.ndarray, np.nda
     return counts, pairs
 
 
+class _Group(NamedTuple):
+    """One evolution of a postselection plan: the sectors ``deltas`` evolved together on ``width`` columns."""
+
+    width: int
+    deltas: tuple[int, ...]  # the key of their :func:`sector_space`, never the space itself
+    seeded: tuple[np.ndarray, np.ndarray]  # (row, column) of the cells that start at one
+    read: tuple[np.ndarray, np.ndarray, np.ndarray]  # (pair, row, column): the cell each pair reads out
+
+
+#: postselection plans kept by :func:`_postselection_plan`, least recently used dropped first.
+PLAN_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _postselection_plan(
+    n_s: int, n_i: int, cap: int, limit: int, rows: bytes, index_pairs: bytes, /
+) -> tuple[_Group, ...]:
+    """The evolutions of a :func:`postselection_amplitudes` call on these checked int64 count ``rows`` and
+    (P, 2) ``index_pairs``, as bytes, at this cap and size ``limit``; read-only.
+
+    None of it depends on the circuit, so circuits of one shape queried on the same rows and pairs share
+    it.  Rows above the cap raise ``ValueError``, and a sector over the limit raises once its space is
+    asked for; an error is never cached, so it recurs on every call.
+    """
+    counts = np.frombuffer(rows, dtype=np.int64).reshape(-1, n_s + n_i)
+    pairs = np.frombuffer(index_pairs, dtype=np.int64).reshape(-1, 2)
+    if counts.size and (counts.max() > cap or counts.sum(axis=1).max() > cap):  # no sum wraps
+        raise ValueError("photon cap below the requested occupations")
+    codes = _lex_rank(counts, cap)
+    differences = counts[:, :n_s].sum(axis=1) - counts[:, n_s:].sum(axis=1)
+    members = np.flatnonzero(differences[pairs[:, 0]] == differences[pairs[:, 1]])
+    ins, outs = pairs[members].T
+    # the distinct inputs in lexicographic order (ranks increase with it), then each one's sector and column
+    _, first, which = np.unique(codes[ins], return_index=True, return_inverse=True)
+    deltas, sector, widths = np.unique(differences[ins[first]], return_inverse=True, return_counts=True)
+    order = np.argsort(sector, kind="stable")  # sector by sector, lexicographic within each
+    column = np.empty(len(first), dtype=np.int64)
+    column[order] = np.arange(len(first)) - np.repeat(np.cumsum(widths) - widths, widths)
+    groups = _width_groups(n_s, n_i, cap, deltas.tolist(), widths.tolist(), limit)
+    label = np.empty(len(deltas), dtype=np.int64)
+    for g, (_, positions) in enumerate(groups):
+        label[positions] = g
+    label = label[sector]  # the group of each distinct input
+    plan = []
+    for g, (width, positions) in enumerate(groups):
+        key = tuple(deltas[positions].tolist())
+        space = sector_space(n_s, n_i, cap, key)
+        chosen = label == g
+        seeded = space._ranked_rows(codes, ins[first[chosen]], counts), column[chosen]
+        read = np.flatnonzero(chosen[which])
+        cells = members[read], space._ranked_rows(codes, outs[read], counts), column[which[read]]
+        plan.append(_Group(width, key, tuple(map(_frozen, seeded)), tuple(map(_frozen, cells))))
+    return tuple(plan)
+
+
 def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_tol: float | None) -> np.ndarray:
     """<occupations[b]| U |occupations[a]> for every index pair (a, b) of ``pairs``, by brute force.
 
@@ -737,28 +803,28 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
     :func:`sector_space` of their union, whose column j starts on every
     such sector's j-th input in lexicographic order.  Sectors never mix, so
     no column is padded and no state is evolved twice; a width whose union
-    would pass ``DIM_LIMIT`` is split over several calls.  All calls share
-    one :class:`_Operators`, so each ladder decomposition and lifted block
-    is built at most once per call of this function.  Each evolution runs
-    the circuit from its first pair source to its last; the one-sided
-    networks around them, merged per side, act only on the photon numbers
-    the queried rows hold.  A side whose networks there are all diagonal
-    only rephases a row: its angles, summed, give each pair the phase
-    exp(i counts . angles) of its input row (before the first source) or
-    output row (after the last), computed once per call.  Counts that are
-    not integers, or negative, or above the cap, and pair indices that are
-    not integers or fall outside ``occupations`` raise ``ValueError``.
+    would pass ``DIM_LIMIT`` is split over several calls.  That layout
+    depends on the rows, pairs, cap and limit alone, never on the circuit:
+    :func:`_postselection_plan` keeps it for the ``PLAN_CACHE_SIZE`` (8)
+    most recent keys.  All calls share one :class:`_Operators`, so each
+    ladder decomposition and lifted block is built at most once per call of
+    this function.  Each evolution runs the circuit from its first pair
+    source to its last; the one-sided networks around them, merged per
+    side, act only on the photon numbers the queried rows hold.  A side
+    whose networks there are all diagonal only rephases a row: its angles,
+    summed, give each pair the phase exp(i counts . angles) of its input row
+    (before the first source) or output row (after the last), computed once
+    per call.  Counts that are not integers, or negative, or above the cap,
+    and pair indices that are not integers or fall outside ``occupations``
+    raise ``ValueError`` on every call.
     """
     from . import ptr  # local import: ptr depends on scatter only
-    n_s = circuit.n_s_paths
-    counts, pairs = _checked_pairs(occupations, pairs, n_s + circuit.n_i_paths)
-    if counts.size and (counts.max() > photon_cap or counts.sum(axis=1).max() > photon_cap):  # no sum wraps
-        raise ValueError("photon cap below the requested occupations")
-    codes = _lex_rank(counts, photon_cap)
-    differences = counts[:, :n_s].sum(axis=1) - counts[:, n_s:].sum(axis=1)
+    n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
+    counts, pairs = _checked_pairs(occupations, pairs, n_s + n_i)
+    groups = _postselection_plan(n_s, n_i, photon_cap, DIM_LIMIT, counts.tobytes(), pairs.tobytes())
     elements, n_modes = circuit.elements, counts.shape[1]
     sources = [j for j, element in enumerate(elements) if isinstance(element, ptr.Pdc)] or [len(elements)]
-    core = ptr.Circuit(n_s, circuit.n_i_paths, elements[sources[0] : sources[-1] + 1])
+    core = ptr.Circuit(n_s, n_i, elements[sources[0] : sources[-1] + 1])
     # the networks before the first source act on the input rows, those after the last on the outputs
     outer, rephased = [], []
     for networks, rows in ((elements[: sources[0]], pairs[:, 0]), (elements[sources[-1] + 1 :], pairs[:, 1])):
@@ -768,34 +834,19 @@ def postselection_amplitudes(circuit, occupations, pairs, photon_cap: int, leak_
             rephased.append(_phases(counts, angles)[rows])
         outer.append(_side_layers([element for element in networks if element.side in mixing], n_s, counts[rows]))
     head, tail = outer
-    members = np.flatnonzero(differences[pairs[:, 0]] == differences[pairs[:, 1]])
-    ins, outs = pairs[members].T
-    # the distinct inputs in lexicographic order (ranks increase with it), then each one's sector and column
-    _, first, which = np.unique(codes[ins], return_index=True, return_inverse=True)
-    deltas, sector, widths = np.unique(differences[ins[first]], return_inverse=True, return_counts=True)
-    order = np.argsort(sector, kind="stable")  # sector by sector, lexicographic within each
-    column = np.empty(len(first), dtype=np.int64)
-    column[order] = np.arange(len(first)) - np.repeat(np.cumsum(widths) - widths, widths)
-    groups = _width_groups(n_s, circuit.n_i_paths, photon_cap, deltas.tolist(), widths.tolist())
-    label = np.empty(len(deltas), dtype=np.int64)
-    for g, (_, positions) in enumerate(groups):
-        label[positions] = g
-    label = label[sector]  # the group of each distinct input
     operators = _Operators()
     amplitudes = np.zeros(len(pairs), dtype=np.complex128)
-    for g, (width, positions) in enumerate(groups):
-        space = sector_space(n_s, circuit.n_i_paths, photon_cap, tuple(deltas[positions].tolist()))
-        chosen = label == g
-        block = np.zeros((space.dimension, width), dtype=np.complex128)
-        block[space._ranked_rows(codes, ins[first[chosen]], counts), column[chosen]] = 1.0
+    for group in groups:
+        space = sector_space(n_s, n_i, photon_cap, group.deltas)
+        block = np.zeros((space.dimension, group.width), dtype=np.complex128)
+        block[group.seeded] = 1.0
         for lo, hi, unitary, top in head:
             _apply_unitary(space, lo, hi, unitary, block, operators, top)
         evolved = apply_circuit(core, space, block, leak_tol=leak_tol, operators=operators)
         for lo, hi, unitary, top in tail:
             _apply_unitary(space, lo, hi, unitary, evolved, operators, top)
-        read = np.flatnonzero(chosen[which])
-        amplitudes[members[read]] = evolved[space._ranked_rows(codes, outs[read], counts), column[which[read]]]
+        target, row, column = group.read
+        amplitudes[target] = evolved[row, column]
     for phases in rephased:
         amplitudes *= phases
     return amplitudes
-

@@ -12,7 +12,12 @@ amplitude at a time, where its small fixed cost wins.  Its core
 :func:`_ryser` also serves :func:`permanent`.  The batched kernel
 :func:`dual_amplitudes` evaluates every index pair of a set of count rows
 in one numpy pass (a call of only a few pairs goes pair by pair through the
-single-pair kernel).  Only :func:`ptr_postselection_amplitude` takes the
+single-pair kernel).  Its layout of pairs, terms and passes does not depend
+on the matrix: :func:`_dual_plan` keeps it, keyed by the paths, the pass
+size and the bytes of the checked int64 rows and pairs, for the
+``DUAL_PLAN_CACHE_SIZE`` (8) most recent keys.  It holds per-pair arrays
+and pass edges, no circuit data and no Ryser weight, so every pass still
+forms its digits and reads its weights from ``_SIGNED_BINOMIALS``.  Only :func:`ptr_postselection_amplitude` takes the
 (signal counts, idler counts) pair form, which the dual arm's idler swap
 needs; everything else takes count rows.  :func:`compare_amplitudes` pits
 the batched amplitudes, scaled by the normalization coefficient of the
@@ -200,22 +205,85 @@ def ptr_postselection_amplitude(setup: PtrSetup, input_occ, output_occ) -> compl
     return setup.nc * _counts_amplitude(setup.scattering.full, s_in + i_out, s_out + i_in)
 
 
+def _swapped_rows(counts: np.ndarray, pairs: np.ndarray, n_s: int) -> np.ndarray:
+    """(P, 2, modes): each pair's input and output rows, their idler counts swapped (partial time reversal)."""
+    swapped = counts[pairs]
+    swapped[:, :, n_s:] = swapped[:, ::-1, n_s:]
+    return swapped
+
+
+class _DualPlan(NamedTuple):
+    """The layout of a batched :func:`dual_amplitudes` call, which depends on its rows and pairs alone; read-only."""
+
+    order: np.ndarray  # the pairs, those summed over their input side first
+    bounds: np.ndarray  # pair j (in ``order``) holds entries bounds[j] .. bounds[j + 1] - 1
+    per_pair: np.ndarray  # (strides, grid, powers) x mode x pair: the summed side's radices, digits' range, powers
+    norms: np.ndarray  # sqrt(prod m!) over both swapped rows of each pair
+    passes: tuple[tuple[int, int, int, int, int, bool], ...]  # (lo, hi, first, last, split, carry) per pass
+
+
+#: batched layouts kept by :func:`_dual_plan`, least recently used dropped first.
+DUAL_PLAN_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=DUAL_PLAN_CACHE_SIZE)
+def _dual_plan(n_s: int, n_modes: int, step: int, rows: bytes, index_pairs: bytes, /) -> _DualPlan:
+    """The layout of every (pair, term) entry of a batched call on these checked int64 count ``rows`` and
+    (P, 2) ``index_pairs``, as bytes, in passes of ``step`` entries.
+
+    It holds per-pair arrays and pass edges only: each pass forms its own digits and reads its weights from
+    ``_SIGNED_BINOMIALS``.  A pair of more than ``MAX_PERMANENT_SIZE`` photons raises
+    :class:`DimensionOverflowError`; an error is never cached, so it recurs on every call.
+    """
+    counts = np.frombuffer(rows, dtype=np.int64).reshape(-1, n_modes)
+    swapped = _swapped_rows(counts, np.frombuffer(index_pairs, dtype=np.int64).reshape(-1, 2), n_s)
+    photons = swapped.sum(axis=2)
+    valid = photons[:, 0] == photons[:, 1]
+    if photons.max(initial=0) > MAX_PERMANENT_SIZE and (oversized := photons[valid, 0] > MAX_PERMANENT_SIZE).any():
+        size = photons[valid, 0][oversized][0]
+        raise DimensionOverflowError(f"permanent of size {size} exceeds {MAX_PERMANENT_SIZE}")
+    if not valid.all():
+        swapped[~valid] = 0  # no term is formed for these; zeroed, their counts index the tables safely
+    # arrays run over modes first from here, so a sum over modes is a few whole-array steps
+    per_side = _COUNT_TABLE[:, swapped.transpose(2, 0, 1)].prod(axis=1)  # (term count or norm, pair, side)
+    (in_terms, out_terms), (in_norm, out_norm) = per_side.transpose(0, 2, 1)
+    flip = out_terms < in_terms
+    order = np.argsort(flip, kind="stable")  # pairs summed over their input side first
+    n_in = len(order) - np.count_nonzero(flip)
+    swapped = swapped[order].transpose(1, 2, 0)  # (side, mode, pair)
+    swapped[:, :, n_in:] = swapped[::-1, :, n_in:]  # each pair as [summed side, power side]
+    bounds = np.zeros(len(order) + 1, dtype=np.int64)
+    (np.minimum(in_terms, out_terms) * valid)[order].cumsum(dtype=np.int64, out=bounds[1:])
+    radices = swapped[0] + 1
+    per_pair = np.concatenate(((radices.cumprod(axis=0) // radices)[None], swapped))  # strides, grid, powers
+    edges, passes = bounds.tolist(), []
+    for lo in range(0, edges[-1], step):
+        hi = min(lo + step, edges[-1])
+        first, last = bisect.bisect_right(edges, lo) - 1, bisect.bisect_left(edges, hi)  # pairs first..last-1
+        # entries before ``split`` sum their input side; the first pair began in an earlier pass if ``carry``
+        passes.append((lo, hi, first, last, min(max(edges[n_in] - lo, 0), hi - lo), edges[first] < lo))
+    norms = np.sqrt((in_norm * out_norm)[order])
+    return _DualPlan(*map(fock._frozen, (order, bounds, per_pair, norms)), tuple(passes))
+
+
 def dual_amplitudes(setup: PtrSetup, counts: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """:func:`ptr_postselection_amplitude` of every index pair (a, b) of ``pairs``, in one numpy pass.
 
     ``counts`` holds count rows, signal paths first, and ``pairs`` a (P, 2)
     array of row indices; pair (a, b) takes row a in and row b out, with
     their idler counts swapped.  Both are checked as
-    :func:`fock.postselection_amplitudes` checks them: counts that are not
-    integers, or negative, and pair indices that are not integers or fall
-    outside ``counts`` raise ``ValueError``.  Each pair sums Ryser's
-    formula over the side :func:`_counts_amplitude` would pick: the
+    :func:`fock.postselection_amplitudes` checks them, on every call:
+    counts that are not integers, or negative, and pair indices that are not
+    integers or fall outside ``counts`` raise ``ValueError``.  Each pair sums
+    Ryser's formula over the side :func:`_counts_amplitude` would pick: the
     output side only if it has strictly fewer prod(m + 1) terms.  All
     (pair, term) entries are laid out flat, pairs summed over their input
-    side first, and evaluated in
-    passes of ``DUAL_CHUNK // modes^2`` entries (at least one), so a large
-    call holds a bounded amount at a time.  An entry's digits k pick its
-    signed binomial weights from a table; its row sums are k times the
+    side first, and evaluated in passes of ``DUAL_CHUNK // modes^2`` entries
+    (at least one), so a large call holds a bounded amount at a time.  That
+    layout does not depend on the matrix: :func:`_dual_plan` keeps it for
+    the ``DUAL_PLAN_CACHE_SIZE`` (8) most recent (rows, pairs, pass size)
+    keys.  An entry's digits k pick its signed binomial weights from a
+    table, on every call; its row sums are k times the
     transposed dual matrix (input side summed) or the matrix (output side);
     its term is the product over all modes of the row sums raised to the
     other side's counts.  ``bincount`` adds the terms of each pair in entry
@@ -236,44 +304,23 @@ def dual_amplitudes(setup: PtrSetup, counts: np.ndarray, pairs: np.ndarray) -> n
     """
     full, n_s = setup.scattering.full, setup.scattering.n_s
     counts, pairs = fock._checked_pairs(counts, pairs, n_s + setup.scattering.n_i)  # a negative count would wrap
-    swapped = counts[pairs]  # (P, 2, modes): each pair's input and output rows
-    swapped[:, :, n_s:] = swapped[:, ::-1, n_s:]  # partial time reversal swaps the idler counts
-    if len(swapped) < _BATCH_MIN_PAIRS:
+    if len(pairs) < _BATCH_MIN_PAIRS:
+        swapped = _swapped_rows(counts, pairs, n_s).tolist()
         # the Python complex product, as ptr_postselection_amplitude takes it: numpy's may differ in the last bit
-        amplitudes = [setup.nc * _counts_amplitude(full, tuple(a), tuple(b)) for a, b in swapped.tolist()]
+        amplitudes = [setup.nc * _counts_amplitude(full, tuple(a), tuple(b)) for a, b in swapped]
         return np.array(amplitudes, dtype=np.complex128)
-    photons = swapped.sum(axis=2)
-    valid = photons[:, 0] == photons[:, 1]
-    if photons.max(initial=0) > MAX_PERMANENT_SIZE and (oversized := photons[valid, 0] > MAX_PERMANENT_SIZE).any():
-        size = photons[valid, 0][oversized][0]
-        raise DimensionOverflowError(f"permanent of size {size} exceeds {MAX_PERMANENT_SIZE}")
-    if not valid.all():
-        swapped[~valid] = 0  # no term is formed for these; zeroed, their counts index the tables safely
-    # arrays run over modes first from here, so a sum over modes is a few whole-array steps
-    per_side = _COUNT_TABLE[:, swapped.transpose(2, 0, 1)].prod(axis=1)  # (term count or norm, pair, side)
-    (in_terms, out_terms), (in_norm, out_norm) = per_side.transpose(0, 2, 1)
-    flip = out_terms < in_terms
-    order = np.argsort(flip, kind="stable")  # pairs summed over their input side first
-    n_in = len(order) - np.count_nonzero(flip)
-    swapped = swapped[order].transpose(1, 2, 0)  # (side, mode, pair)
-    swapped[:, :, n_in:] = swapped[::-1, :, n_in:]  # each pair as [summed side, power side]
-    bounds = np.zeros(len(order) + 1, dtype=np.int64)  # pair j holds entries bounds[j] .. bounds[j + 1] - 1
-    (np.minimum(in_terms, out_terms) * valid)[order].cumsum(dtype=np.int64, out=bounds[1:])
-    radices = swapped[0] + 1
-    per_pair = np.concatenate(((radices.cumprod(axis=0) // radices)[None], swapped))  # strides, grid, powers
-    sums = np.zeros(len(order), dtype=np.complex128)
-    edges, step = bounds.tolist(), max(1, DUAL_CHUNK // full.size)
-    for lo in range(0, edges[-1], step):
-        hi = min(lo + step, edges[-1])
-        first, last = bisect.bisect_right(edges, lo) - 1, bisect.bisect_left(edges, hi)  # pairs first..last-1
+    step = max(1, DUAL_CHUNK // full.size)
+    plan = _dual_plan(n_s, len(full), step, counts.tobytes(), pairs.tobytes())
+    bounds = plan.bounds
+    sums = np.zeros(len(plan.order), dtype=np.complex128)
+    for lo, hi, first, last, split, carry in plan.passes:
         cut = np.minimum(np.maximum(bounds[first : last + 1], lo), hi)
         pair = np.repeat(np.arange(first, last), cut[1:] - cut[:-1])
-        strides, grid, powers = per_pair[:, :, pair]
+        strides, grid, powers = plan.per_pair[:, :, pair]
         digits = (np.arange(lo, hi) - bounds[pair]) // strides % (grid + 1)
         # a digit on mode m weighs row m of the transposed matrix (input side summed) or of the matrix
         # (output side), summed in mode order whatever the chunk: a matmul may round an entry by its neighbours
         row_sums = np.empty(digits.shape, dtype=np.complex128)
-        split = min(max(edges[n_in] - lo, 0), hi - lo)
         for start, stop, matrix in ((0, split, full.T), (split, hi - lo, full)):
             if start < stop:
                 row_sums[:, start:stop] = (digits[:, None, start:stop] * matrix[:, :, None]).sum(axis=0)
@@ -281,12 +328,12 @@ def dual_amplitudes(setup: PtrSetup, counts: np.ndarray, pairs: np.ndarray) -> n
         terms = np.multiply.reduce(np.ascontiguousarray((row_sums**powers).T), axis=1)
         values = terms * _SIGNED_BINOMIALS[grid, digits].prod(axis=0)
         label = pair - first
-        if edges[first] < lo:  # the first pair began in an earlier chunk: carry its partial sum on
+        if carry:  # the first pair began in an earlier pass: carry its partial sum on
             label, values = np.concatenate(([0], label)), np.concatenate((sums[first : first + 1], values))
         sums.real[first:last] = np.bincount(label, values.real, last - first)
         sums.imag[first:last] = np.bincount(label, values.imag, last - first)
-    amplitudes = np.empty(len(order), dtype=np.complex128)
-    amplitudes[order] = sums / np.sqrt((in_norm * out_norm)[order]) * setup.nc
+    amplitudes = np.empty(len(plan.order), dtype=np.complex128)
+    amplitudes[plan.order] = sums / plan.norms * setup.nc
     return amplitudes
 
 

@@ -225,18 +225,29 @@ def build_ptr(circuit: Circuit) -> PtrSetup:
 
 
 def circuit_transfer(circuit: Circuit) -> TransferMatrix:
-    """Transfer matrix of the substituted circuit (product in reverse order)."""
-    total = TransferMatrix.identity(circuit.n_s_paths, circuit.n_i_paths)
+    """Transfer matrix of the substituted circuit: the elements' transfer matrices, last on the left.
+
+    Each element folds into one array in place.  A signal network U takes
+    the signal rows to U @ rows, an idler network V the idler rows to
+    conj(V) @ rows, and a pair source of gain r mixes its signal and idler
+    rows by [[cosh r, sinh r], [sinh r, cosh r]]; a zero-gain source is the
+    identity.  A gain whose cosh passes the float range raises
+    ``OverflowError``, and a product that does raises ``ValueError`` as a
+    non-finite two-port.
+    """
     n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
-    for element in circuit.elements:
-        if not isinstance(element, Pdc):
-            step = scatter.linear_transfer(element.matrix, element.side, n_s, n_i)
-        elif element.r != 0:
-            step = scatter.bs_transfer(element.r, element.s_path, element.i_path, n_s, n_i)
-        else:
-            continue
-        total = step @ total
-    return total
+    full = np.eye(n_s + n_i, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
+        for element in circuit.elements:
+            if isinstance(element, LinearS):
+                full[:n_s] = element.matrix @ full[:n_s]
+            elif isinstance(element, LinearI):
+                full[n_s:] = element.matrix.conj() @ full[n_s:]
+            elif element.r != 0:
+                rows = [element.s_path, n_s + element.i_path]
+                c, s = math.cosh(element.r), math.sinh(element.r)
+                full[rows] = np.array([[c, s], [s, c]]) @ full[rows]
+    return TransferMatrix.from_full(full, n_s, n_i)
 
 
 def nc_determinant_defect(setup: PtrSetup, block: str = "ss") -> float:

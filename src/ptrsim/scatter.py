@@ -131,26 +131,21 @@ def star(first: ScatteringMatrix, second: ScatteringMatrix) -> ScatteringMatrix:
     return ScatteringMatrix._wrap(full, n_s, first.n_i)
 
 
-def _coupler(cls, diagonal: float, to_signal: float, to_idler: float, s_path, i_path, n_s: int, n_i: int):
-    """Identity two-port except where signal path ``s_path`` meets idler path ``i_path``."""
-    if not (0 <= s_path < n_s and 0 <= i_path < n_i):
-        raise ValueError(f"paths ({s_path}, {i_path}) are outside {n_s} signal and {n_i} idler paths")
-    full = np.eye(n_s + n_i, dtype=np.complex128)
-    idler = n_s + i_path
-    full[s_path, s_path] = full[idler, idler] = diagonal
-    full[s_path, idler] = to_signal
-    full[idler, s_path] = to_idler
-    return cls._wrap(_finite(full), n_s, n_i)
-
-
 def hypothetical_bs(r: float, s_path: int, i_path: int, n_s: int, n_i: int) -> ScatteringMatrix:
     """Beamsplitter standing in for one pair source of gain r.
 
     Transmittance sech(r) on the coupled signal and idler paths,
-    reflectance tanh(r) from idler to signal, minus tanh(r) back.
+    reflectance tanh(r) from idler to signal, minus tanh(r) back; the
+    identity on every other path.
     """
-    refl = math.tanh(r)
-    return _coupler(ScatteringMatrix, 1.0 / math.cosh(r), refl, -refl, s_path, i_path, n_s, n_i)
+    if not (0 <= s_path < n_s and 0 <= i_path < n_i):
+        raise ValueError(f"paths ({s_path}, {i_path}) are outside {n_s} signal and {n_i} idler paths")
+    full = np.eye(n_s + n_i, dtype=np.complex128)
+    idler, refl = n_s + i_path, math.tanh(r)
+    full[s_path, s_path] = full[idler, idler] = 1.0 / math.cosh(r)
+    full[s_path, idler] = refl
+    full[idler, s_path] = -refl
+    return ScatteringMatrix._wrap(_finite(full), n_s, n_i)
 
 
 # ---------------------------------------------------------------------------
@@ -175,24 +170,6 @@ def scattering_to_transfer(matrix: ScatteringMatrix) -> TransferMatrix:
     return TransferMatrix(
         matrix.ss - matrix.si @ ii_inv @ matrix.is_, matrix.si @ ii_inv, -ii_inv @ matrix.is_, ii_inv
     )
-
-
-def bs_transfer(r: float, s_path: int, i_path: int, n_s: int, n_i: int) -> TransferMatrix:
-    """Transfer matrix of one pair source: cosh on the diagonal, sinh across."""
-    return _coupler(TransferMatrix, math.cosh(r), math.sinh(r), math.sinh(r), s_path, i_path, n_s, n_i)
-
-
-def linear_transfer(unitary: np.ndarray, side: str, n_s: int, n_i: int) -> TransferMatrix:
-    """Transfer matrix of a one-sided linear network (idler side conjugated)."""
-    if side not in ("s", "i"):
-        raise ValueError("side must be 's' or 'i'")
-    unitary = np.asarray(unitary)
-    full = np.eye(n_s + n_i, dtype=np.complex128)
-    block = full[:n_s, :n_s] if side == "s" else full[n_s:, n_s:]
-    if unitary.shape != block.shape:
-        raise ValueError(f"unitary of shape {unitary.shape} does not fit side {side!r}")
-    block[...] = unitary if side == "s" else unitary.conj()
-    return TransferMatrix._wrap(_finite(full), n_s, n_i)
 
 
 def symplectic_defect(matrix: TransferMatrix) -> float:

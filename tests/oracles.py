@@ -5,7 +5,7 @@ operators and brute-force enumeration, deliberately sharing no code with
 the package under test.  The sparse-generator oracles borrow only the
 package's basis order, so their matrices can be compared with its evolved
 columns entry by entry; the scattering helpers borrow only its block
-container.  The package-side defects and the entry at the end are the
+containers.  The package-side defects and the entry at the end are the
 exception: the defects measure identities on the package's own symplectic
 maps and scattering factors, and the entry reaches the package's
 single-pair permanent kernel on a plain linear network.
@@ -324,8 +324,9 @@ def nonlinear_operator(circuit, space) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # scattering helpers
 #
-# Test-only constructions around the package's scattering matrices: they
-# share the block container (``ScatteringMatrix``) and nothing else.
+# Test-only constructions around the package's scattering and transfer
+# matrices: they share the block containers (``ScatteringMatrix``,
+# ``TransferMatrix``) and nothing else.
 # ---------------------------------------------------------------------------
 
 
@@ -352,6 +353,49 @@ def transfer_to_scattering(matrix):
     return ScatteringMatrix(
         matrix.ss - matrix.si @ ii_inv @ matrix.is_, matrix.si @ ii_inv, -ii_inv @ matrix.is_, ii_inv
     )
+
+
+def bs_transfer(r: float, s_path: int, i_path: int, n_s: int, n_i: int):
+    """Transfer matrix of one pair source: cosh on the diagonal, sinh across."""
+    from ptrsim.scatter import TransferMatrix
+
+    if not (0 <= s_path < n_s and 0 <= i_path < n_i):
+        raise ValueError(f"paths ({s_path}, {i_path}) are outside {n_s} signal and {n_i} idler paths")
+    full = np.eye(n_s + n_i, dtype=np.complex128)
+    idler = n_s + i_path
+    full[s_path, s_path] = full[idler, idler] = math.cosh(r)
+    full[s_path, idler] = full[idler, s_path] = math.sinh(r)
+    return TransferMatrix.from_full(full, n_s, n_i)
+
+
+def linear_transfer(unitary: np.ndarray, side: str, n_s: int, n_i: int):
+    """Transfer matrix of a one-sided linear network (idler side conjugated)."""
+    from ptrsim.scatter import TransferMatrix
+
+    if side not in ("s", "i"):
+        raise ValueError("side must be 's' or 'i'")
+    unitary = np.asarray(unitary)
+    full = np.eye(n_s + n_i, dtype=np.complex128)
+    block = full[:n_s, :n_s] if side == "s" else full[n_s:, n_s:]
+    if unitary.shape != block.shape:
+        raise ValueError(f"unitary of shape {unitary.shape} does not fit side {side!r}")
+    block[...] = unitary if side == "s" else unitary.conj()
+    return TransferMatrix.from_full(full, n_s, n_i)
+
+
+def transfer_product(circuit):
+    """Transfer matrix of the substituted circuit as the product of one matrix per element, last on the left."""
+    from ptrsim.ptr import Pdc
+    from ptrsim.scatter import TransferMatrix
+
+    n_s, n_i = circuit.n_s_paths, circuit.n_i_paths
+    total = TransferMatrix.identity(n_s, n_i)
+    for element in circuit.elements:
+        if isinstance(element, Pdc):
+            total = bs_transfer(element.r, element.s_path, element.i_path, n_s, n_i) @ total
+        else:
+            total = linear_transfer(element.matrix, element.side, n_s, n_i) @ total
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -339,3 +339,86 @@ def test_verify_evolves_each_sector_once_with_its_distinct_inputs_as_columns(mon
             for column, row in zip(block[rows].T, inputs[deltas == delta]):
                 assert np.isclose(np.linalg.norm(column), 1.0)
                 assert np.all(column[signal[rows] != row[:2].sum()] == 0)
+
+
+# ---------------------------------------------------------------------------
+# postselection plans: the layout of a call, shared by circuits of one shape
+# ---------------------------------------------------------------------------
+
+
+def plan_case():
+    """Every budget-3 pair of a 2+2 criterion-05 circuit, its rows and pairs, and a second circuit of its shape."""
+    rows, pairs = linamp._budget_pairs(2, 2, 3)
+    return harness.random_circuit(1011, 2, 2, 2, 0.6), harness.random_circuit(1012, 2, 2, 3, 0.6), rows, pairs
+
+
+def cold(circuit, rows, pairs, cap=20) -> np.ndarray:
+    """Amplitudes from an empty plan cache."""
+    fock._postselection_plan.cache_clear()
+    return fock.postselection_amplitudes(circuit, rows, pairs, cap, fock.DEFAULT_LEAK_TOL)
+
+
+def test_warm_calls_and_fresh_copies_read_the_cold_amplitudes_bit_for_bit():
+    """The plan a call on one circuit leaves serves the other circuit too."""
+    circuit, other, rows, pairs = plan_case()
+    expected = [cold(c, rows, pairs).tobytes() for c in (circuit, other)]  # the second leaves its plan
+    hits = fock._postselection_plan.cache_info().hits
+    copies = [(rows, pairs), (rows.tolist(), pairs.tolist()), (rows.astype(np.int32), pairs.astype(np.uint16))]
+    for rows_copy, pairs_copy in copies:
+        for c, amplitudes in zip((circuit, other), expected):
+            got = fock.postselection_amplitudes(c, rows_copy, pairs_copy, 20, fock.DEFAULT_LEAK_TOL)
+            assert got.tobytes() == amplitudes
+    assert fock._postselection_plan.cache_info().hits == hits + 2 * len(copies)
+
+
+def test_changed_rows_pairs_or_cap_read_as_a_cold_call():
+    """Each changed call runs right after the unchanged one, whose plan is then cached, and again on its own plan."""
+    circuit, _, rows, pairs = plan_case()
+    shuffled = np.random.default_rng(3).permutation(len(rows))
+    rows_moved, pairs_moved = rows[shuffled], np.argsort(shuffled)[pairs]  # the same pairs, rows in another order
+    for changed_rows, changed_pairs, cap in (
+        (rows_moved, pairs_moved, 20),
+        (rows, pairs[::-1], 20),
+        (rows, pairs[: len(pairs) // 3], 20),
+        (np.vstack((rows, [[0, 3, 0, 1]])), np.vstack((pairs, [[len(rows), 0], [len(rows), len(rows)]])), 20),
+        (rows, pairs, 18),
+    ):
+        expected = cold(circuit, changed_rows, changed_pairs, cap)
+        cold(circuit, rows, pairs)
+        for _ in range(2):
+            got = fock.postselection_amplitudes(circuit, changed_rows, changed_pairs, cap, fock.DEFAULT_LEAK_TOL)
+            assert got.tobytes() == expected.tobytes()
+    moved = fock.postselection_amplitudes(circuit, rows_moved, pairs_moved, 20, fock.DEFAULT_LEAK_TOL)
+    assert np.max(np.abs(moved - cold(circuit, rows, pairs))) <= 1e-15
+
+
+def test_bad_input_raises_on_every_call_even_after_a_plan_hit():
+    circuit, _, rows, pairs = plan_case()
+    fock.postselection_amplitudes(circuit, rows, pairs, 20, None)
+    negative, outside = rows.copy(), pairs.copy()
+    negative[1, 2] = -1
+    outside[-1, 1] = len(rows)
+    for bad_rows, bad_pairs, cap, message in (
+        (rows.astype(float) + 0.5, pairs, 20, "must be integers"),
+        (negative, pairs, 20, "must be nonnegative"),
+        (rows, outside, 20, "indexes outside"),
+        (rows, pairs.astype(float) / 2, 20, "pair indices must be integers"),
+        (rows, pairs, 2, "photon cap below the requested occupations"),
+    ):
+        for _ in range(2):
+            fock.postselection_amplitudes(circuit, rows, pairs, 20, None)  # a hit just before
+            with pytest.raises(ValueError, match=message):
+                fock.postselection_amplitudes(circuit, bad_rows, bad_pairs, cap, None)
+
+
+def test_plan_arrays_are_read_only_and_hold_no_space():
+    circuit, _, rows, pairs = plan_case()
+    fock.postselection_amplitudes(circuit, rows, pairs, 20, None)
+    plan = fock._postselection_plan(2, 2, 20, fock.DIM_LIMIT, rows.tobytes(), pairs.tobytes())
+    assert fock._postselection_plan.cache_info().maxsize == fock.PLAN_CACHE_SIZE
+    for group in plan:
+        assert all(isinstance(delta, int) for delta in group.deltas)
+        for array in (*group.seeded, *group.read):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0

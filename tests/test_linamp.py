@@ -607,3 +607,78 @@ def test_seeded_subsamples_draw_the_pairs_of_the_pair_loop(n_s, n_i):
         report = linamp.verify_duality(circuit, photon_budget=4, photon_cap=8, sample_count=7, seed=seed)
         chosen = np.sort(np.random.default_rng(seed).choice(len(loop), size=7, replace=False))
         assert report.comparisons.tolist() == [list(loop[int(k)]) for k in chosen]
+
+
+# ---------------------------------------------------------------------------
+# batched layouts: the part of a dual_amplitudes call that the matrix does not touch
+# ---------------------------------------------------------------------------
+
+
+def dual_cold(setup, counts, pairs) -> np.ndarray:
+    """Batched amplitudes from an empty layout cache."""
+    linamp._dual_plan.cache_clear()
+    return linamp.dual_amplitudes(setup, counts, pairs)
+
+
+def test_warm_dual_calls_and_fresh_copies_read_the_cold_amplitudes_bit_for_bit():
+    counts, pairs = linamp._budget_pairs(2, 2, 4)
+    setups = [build_ptr(harness.random_circuit(seed, 2, 2, 2, 0.6)) for seed in (1010, 1013)]
+    expected = [dual_cold(setup, counts, pairs).tobytes() for setup in setups]  # the second leaves its layout
+    hits = linamp._dual_plan.cache_info().hits
+    copies = [(counts, pairs), (counts.tolist(), pairs.tolist()), (counts.astype(np.int8), pairs)]
+    for counts_copy, pairs_copy in copies:
+        for setup, amplitudes in zip(setups, expected):
+            assert linamp.dual_amplitudes(setup, counts_copy, pairs_copy).tobytes() == amplitudes
+    assert linamp._dual_plan.cache_info().hits == hits + 6
+    circuit = harness.random_circuit(1014, 2, 2, 3, 0.6)  # both arms through compare_amplitudes, cold then warm
+    fock._postselection_plan.cache_clear()
+    linamp._dual_plan.cache_clear()
+    reports = [linamp.compare_amplitudes(circuit, counts, pairs, 32) for _ in range(2)]
+    assert reports[0].nonlinear.tobytes() == reports[1].nonlinear.tobytes()
+    assert reports[0].dual.tobytes() == reports[1].dual.tobytes()
+
+
+def test_changed_dual_rows_or_pairs_read_as_a_cold_call():
+    """Each changed call runs right after the unchanged one, whose layout is then cached, and again on its own."""
+    counts, pairs = linamp._budget_pairs(2, 1, 4)
+    setup = build_ptr(harness.random_circuit(1007, 2, 1, 2, 0.8))
+    flipped = counts.copy()
+    flipped[:, [0, 1]] = flipped[:, [1, 0]]  # every row's two signal counts exchanged
+    for changed_counts, changed_pairs in ((flipped, pairs), (counts, pairs[::-1]), (counts, pairs[: len(pairs) // 2])):
+        expected = dual_cold(setup, changed_counts, changed_pairs)
+        dual_cold(setup, counts, pairs)
+        for _ in range(2):
+            assert linamp.dual_amplitudes(setup, changed_counts, changed_pairs).tobytes() == expected.tobytes()
+        assert np.all(np.abs(expected - single_pair_amplitudes(setup, changed_counts, changed_pairs)) <= 1e-14)
+
+
+def test_bad_dual_input_raises_on_every_call_even_after_a_layout_hit():
+    setup = build_ptr(harness.random_circuit(4, 2, 1, 2, 0.8))
+    counts, pairs = linamp._budget_pairs(2, 1, 3)
+    negative, outside = counts.copy(), pairs.copy()
+    negative[1, 2] = -1
+    outside[-1, 0] = -1
+    oversized = np.vstack((counts, [[linamp.MAX_PERMANENT_SIZE, 1, 0], [1, linamp.MAX_PERMANENT_SIZE, 0]]))
+    for bad_counts, bad_pairs, error, message in (
+        (counts.astype(float) + 0.5, pairs, ValueError, "must be integers"),
+        (negative, pairs, ValueError, "must be nonnegative"),
+        (counts, outside, ValueError, "indexes outside"),
+        (oversized, np.vstack((pairs, [[len(counts), len(counts) + 1]])), DimensionOverflowError, "size 21 exceeds"),
+    ):
+        for _ in range(2):
+            linamp.dual_amplitudes(setup, counts, pairs)  # a hit just before
+            with pytest.raises(error, match=message):
+                linamp.dual_amplitudes(setup, bad_counts, bad_pairs)
+
+
+def test_dual_layouts_are_read_only_and_hold_no_weights():
+    counts, pairs = linamp._budget_pairs(2, 2, 3)
+    setup = build_ptr(harness.random_circuit(1010, 2, 2, 1, 0.6))
+    linamp.dual_amplitudes(setup, counts, pairs)
+    step = max(1, linamp.DUAL_CHUNK // setup.scattering.full.size)
+    plan = linamp._dual_plan(2, 4, step, counts.tobytes(), pairs.tobytes())
+    assert linamp._dual_plan.cache_info().maxsize == linamp.DUAL_PLAN_CACHE_SIZE
+    for array in (plan.order, plan.bounds, plan.per_pair, plan.norms):
+        assert not array.flags.writeable and array.shape[-1] in (len(pairs), len(pairs) + 1)  # per pair, not per term
+        with pytest.raises(ValueError):
+            array.flat[0] = 0

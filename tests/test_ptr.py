@@ -142,6 +142,25 @@ def test_circuit_transfer_matches_scattering_conversion():
     assert np.allclose(direct.full, via_scatter.full, atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_circuit_transfer_folds_the_product_of_element_transfers(seed):
+    """The in-place fold against one transfer matrix per element; phase plates and a zero-gain source ride along."""
+    n_s, n_i = 1 + seed % 4, 1 + seed // 2 % 4
+    random = harness.random_circuit(seed, n_s, n_i, 1 + seed % 4, 1.2)
+    circuit = Circuit(n_s, n_i, (PhaseI(n_i - 1, 0.3), *random.elements, Pdc(0, 0, 0.0), PhaseS(n_s - 1, -1.1)))
+    fold, product = circuit_transfer(circuit).full, oracles.transfer_product(circuit).full
+    assert np.abs(fold - product).max() <= 1e-14 * np.abs(product).max()
+
+
+def test_circuit_transfer_refuses_gains_past_the_float_range():
+    """cosh(800) overflows a float, and two sources of gain 400 overflow their product."""
+    with pytest.raises(OverflowError):
+        circuit_transfer(Circuit(1, 1, (Pdc(0, 0, 800.0),)))
+    with pytest.raises(ValueError, match="non-finite"):
+        circuit_transfer(Circuit(1, 1, (Pdc(0, 0, 400.0), Pdc(0, 0, 400.0))))
+    assert np.isfinite(circuit_transfer(Circuit(1, 1, (Pdc(0, 0, 400.0),))).full).all()
+
+
 def test_phase_matrix_is_a_diagonal_phase():
     matrix = phase_matrix(1, 0.7, 3)
     assert np.allclose(matrix, np.diag([1.0, np.exp(0.7j), 1.0]))

@@ -50,7 +50,7 @@ def test_identity_is_neutral_for_star():
 def test_full_matrix_is_built_once_and_read_only():
     given = haar(3, 5)
     blocks = (given[:2, :2], given[:2, 2:], given[2:, :2], given[2:, 2:])
-    source = scatter.bs_transfer(0.4, 1, 0, 2, 1)
+    source = oracles.bs_transfer(0.4, 1, 0, 2, 1)
     matrices = [
         scatter.ScatteringMatrix(*blocks),
         scatter.TransferMatrix(*blocks),
@@ -60,9 +60,9 @@ def test_full_matrix_is_built_once_and_read_only():
         scatter.TransferMatrix.identity(2, 1),
         scatter.hypothetical_bs(0.4, 1, 0, 2, 1),
         source,
-        scatter.linear_transfer(haar(1, 6), "i", 2, 1),
+        oracles.linear_transfer(haar(1, 6), "i", 2, 1),
         scatter.star(*random_scatterings(5, 2, 2, 1)),
-        source @ scatter.linear_transfer(haar(2, 7), "s", 2, 1),
+        source @ oracles.linear_transfer(haar(2, 7), "s", 2, 1),
         circuit_transfer(Circuit(2, 2, (Pdc(0, 1, 0.4),))),
     ]
     for matrix in matrices:
@@ -201,8 +201,8 @@ def test_non_finite_two_ports_are_refused(cls, bad):
     "build",
     [
         lambda: scatter.hypothetical_bs(math.nan, 0, 0, 1, 1),
-        lambda: scatter.bs_transfer(math.inf, 0, 0, 1, 1),
-        lambda: scatter.linear_transfer(np.array([[math.nan]]), "i", 1, 1),
+        lambda: oracles.bs_transfer(math.inf, 0, 0, 1, 1),
+        lambda: oracles.linear_transfer(np.array([[math.nan]]), "i", 1, 1),
     ],
 )
 def test_two_port_builders_refuse_non_finite_parameters(build):
@@ -230,7 +230,7 @@ def test_transfer_composition_is_matrix_product():
 
 def test_bs_transfer_matches_scattering_conversion():
     r = 0.55
-    direct = scatter.bs_transfer(r, 0, 1, 2, 2)
+    direct = oracles.bs_transfer(r, 0, 1, 2, 2)
     via = scatter.scattering_to_transfer(scatter.hypothetical_bs(r, 0, 1, 2, 2))
     assert np.allclose(direct.full, via.full, atol=1e-14)
     assert np.isclose(direct.ss[0, 0], math.cosh(r))
@@ -239,7 +239,7 @@ def test_bs_transfer_matches_scattering_conversion():
 
 def test_linear_transfer_conjugates_idler_side():
     unitary = haar(2, 21)
-    direct = scatter.linear_transfer(unitary, "i", 1, 2)
+    direct = oracles.linear_transfer(unitary, "i", 1, 2)
     via = scatter.scattering_to_transfer(oracles.embed_linear(unitary, "i", 1, 2))
     assert np.allclose(direct.full, via.full, atol=1e-14)
     assert np.allclose(direct.ii, unitary.conj())
@@ -273,7 +273,7 @@ def test_block_shape_validation():
     with pytest.raises(ValueError):
         scatter.ScatteringMatrix.from_full(np.eye(3), 2, 2)
     with pytest.raises(ValueError):
-        scatter.linear_transfer(np.eye(1), "i", 2, 2)
+        oracles.linear_transfer(np.eye(1), "i", 2, 2)
 
 
 #: two-ports with fewer than one signal or one idler path
@@ -297,7 +297,7 @@ def test_path_counts_below_one_are_refused(cls, make):
     "copy_of", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["copy", "deepcopy", "pickle"]
 )
 def test_copies_keep_one_read_only_full_matrix(copy_of):
-    for matrix in (scatter.hypothetical_bs(0.3, 0, 0, 1, 1), scatter.bs_transfer(0.3, 1, 0, 2, 1)):
+    for matrix in (scatter.hypothetical_bs(0.3, 0, 0, 1, 1), oracles.bs_transfer(0.3, 1, 0, 2, 1)):
         twin = copy_of(matrix)
         assert type(twin) is type(matrix) and (twin.n_s, twin.n_i) == (matrix.n_s, matrix.n_i)
         assert np.array_equal(twin.full, matrix.full)
@@ -306,7 +306,7 @@ def test_copies_keep_one_read_only_full_matrix(copy_of):
             assert np.shares_memory(block, twin.full)
 
 
-@pytest.mark.parametrize("builder", [scatter.hypothetical_bs, scatter.bs_transfer])
+@pytest.mark.parametrize("builder", [scatter.hypothetical_bs, oracles.bs_transfer])
 @pytest.mark.parametrize("s_path,i_path", [(-1, 0), (2, 0), (0, -1), (0, 1)])
 def test_pair_source_paths_are_checked(builder, s_path, i_path):
     with pytest.raises(ValueError):
@@ -314,6 +314,6 @@ def test_pair_source_paths_are_checked(builder, s_path, i_path):
 
 
 def test_transfer_product_takes_only_transfer_matrices():
-    transfer = scatter.bs_transfer(0.5, 0, 0, 1, 1)
+    transfer = oracles.bs_transfer(0.5, 0, 0, 1, 1)
     with pytest.raises(TypeError):
         transfer @ scatter.hypothetical_bs(0.5, 0, 0, 1, 1)
